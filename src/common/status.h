@@ -94,6 +94,13 @@ class [[nodiscard]] Status {
   /// surfaced on a path that is outside the recovery scope).
   void IgnoreError() const {}
 
+  /// Keep-first-error: adopts `other` only while this status is OK (the
+  /// Abseil spelling). Rounds that must run to completion after a
+  /// failure fold every step's status through this.
+  void Update(const Status& other) {
+    if (ok()) *this = other;
+  }
+
   bool operator==(const Status& other) const {
     return code() == other.code() && message() == other.message();
   }

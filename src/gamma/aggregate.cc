@@ -145,10 +145,7 @@ Result<AggregateOutput> ExecuteAggregate(sim::Machine& machine,
                       static_cast<int>(agg_nodes.size()),
                       agg_table.SerializedBytes());
   machine.RunOnNodes(disks, [&](sim::Node& n) {
-    size_t di = 0;
-    for (size_t i = 0; i < disks.size(); ++i) {
-      if (disks[i] == n.id()) di = i;
-    }
+    const size_t di = machine.DiskIndexOf(n.id());
     std::map<int32_t, Partial> partials;
     auto scanner = input->fragment(di).Scan();
     storage::Tuple t;
@@ -223,10 +220,7 @@ Result<AggregateOutput> ExecuteAggregate(sim::Machine& machine,
     }
   });
   machine.RunOnNodes(disks, [&](sim::Node& n) {
-    size_t di = 0;
-    for (size_t i = 0; i < disks.size(); ++i) {
-      if (disks[i] == n.id()) di = i;
-    }
+    const size_t di = machine.DiskIndexOf(n.id());
     for (storage::Tuple& t : store_exchange.TakeInbox(n.id())) {
       // Non-join operators are outside the fault-injection recovery
       // scope (docs/fault_injection.md): hard write errors abort.

@@ -143,10 +143,7 @@ Result<SelectOutput> ExecuteSelect(sim::Machine& machine, Catalog& catalog,
   const bool via_index = key_range.constrained && key_range.lo <= key_range.hi;
 
   machine.RunOnNodes(disks, [&](sim::Node& n) {
-    size_t di = 0;
-    for (size_t i = 0; i < disks.size(); ++i) {
-      if (disks[i] == n.id()) di = i;
-    }
+    const size_t di = machine.DiskIndexOf(n.id());
     store_exchange.ReserveRow(n.id(), input->fragment(di).tuple_count());
     const auto process = [&](const uint8_t* data, uint32_t size) {
       ++input_counts[di];
@@ -203,10 +200,7 @@ Result<SelectOutput> ExecuteSelect(sim::Machine& machine, Catalog& catalog,
     }
   });
   machine.RunOnNodes(disks, [&](sim::Node& n) {
-    size_t di = 0;
-    for (size_t i = 0; i < disks.size(); ++i) {
-      if (disks[i] == n.id()) di = i;
-    }
+    const size_t di = machine.DiskIndexOf(n.id());
     store_exchange.DrainInboxBlocks(
         n.id(), [&](std::vector<storage::Tuple>& lane) {
           for (storage::Tuple& t : lane) {

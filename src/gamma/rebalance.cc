@@ -24,6 +24,13 @@ double BinLoad(double count, double uniform, double heavy_factor) {
 
 }  // namespace
 
+void RebalancePlan::Install(size_t num_producers) {
+  cursors.resize(num_producers);
+  for (size_t p = 0; p < num_producers; ++p) {
+    cursors[p].assign(num_bins, static_cast<uint32_t>(p));
+  }
+}
+
 uint64_t RebalancePlan::SerializedBytes() const {
   uint64_t entries = 0;
   for (const std::vector<int>& d : destinations) entries += d.size();
@@ -205,6 +212,29 @@ RebalancePlan ComputeRebalancePlan(
   }
   plan.active = true;
   return plan;
+}
+
+std::vector<std::vector<uint64_t>> GatherBinCounts(
+    sim::Machine& machine, const std::vector<int>& process_nodes,
+    const std::function<const HashHistogram&(size_t)>& histogram) {
+  std::vector<int> sites = process_nodes;
+  std::sort(sites.begin(), sites.end());
+  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  std::vector<std::vector<uint64_t>> counts(process_nodes.size());
+  machine.RunOnNodes(sites, [&](sim::Node& n) {
+    for (size_t p = 0; p < process_nodes.size(); ++p) {
+      if (process_nodes[p] != n.id()) continue;
+      const HashHistogram& h = histogram(p);
+      counts[p].resize(h.num_bins());
+      for (uint32_t b = 0; b < h.num_bins(); ++b) {
+        counts[p][b] = h.bin_count(b);
+      }
+      n.ChargeCpu(
+          static_cast<double>(h.num_bins()) * n.cost().cpu_compare_seconds,
+          sim::CostCategory::kCompare);
+    }
+  });
+  return counts;
 }
 
 void ChargeRebalance(sim::Machine& machine, int num_join_sites,

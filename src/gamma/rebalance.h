@@ -20,8 +20,10 @@
 #define GAMMA_GAMMA_REBALANCE_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "common/histogram.h"
 #include "sim/machine.h"
 
 namespace gammadb::db {
@@ -56,6 +58,10 @@ struct RebalancePlan {
   int overridden_bins = 0;
   int replicated_bins = 0;
 
+  /// Per-producer, per-bin round-robin cursors spreading a replicated
+  /// bin's probe tuples over its destinations (armed by Install).
+  std::vector<std::vector<uint32_t>> cursors;
+
   uint32_t BinOf(uint64_t hash) const {
     return static_cast<uint32_t>(hash >> shift);
   }
@@ -66,6 +72,23 @@ struct RebalancePlan {
     if (!active) return nullptr;
     const std::vector<int>& d = destinations[BinOf(hash)];
     return d.empty() ? nullptr : &d;
+  }
+
+  /// Arms the probe-side cursors for `num_producers` producers. Each
+  /// producer owns its row (no races), seeded with the producer index,
+  /// so routing is identical at any thread count.
+  void Install(size_t num_producers);
+
+  /// Destination process of a probe tuple of `hash` sent by producer
+  /// `producer`: an overridden bin's tuples go to exactly ONE of its
+  /// destinations, chosen by this producer's round-robin cursor, so a
+  /// replicated bin's probes spread evenly and every result pair is
+  /// still produced exactly once. Other tuples keep `static_route`.
+  size_t RouteProbe(size_t producer, uint64_t hash, size_t static_route) {
+    const std::vector<int>* dests = DestinationsFor(hash);
+    if (dests == nullptr) return static_route;
+    uint32_t& rr = cursors[producer][BinOf(hash)];
+    return static_cast<size_t>((*dests)[rr++ % dests->size()]);
   }
 
   /// Bytes needed to ship the override table (one split-table entry per
@@ -94,6 +117,14 @@ RebalancePlan ComputeRebalancePlan(
     const std::vector<std::vector<uint64_t>>& process_bin_counts,
     uint64_t bytes_per_tuple, uint64_t capacity_bytes_per_process,
     const RebalanceOptions& options);
+
+/// Gathers the per-process histogram bin counts a plan is computed
+/// from: process p runs on node `process_nodes[p]`, and each of those
+/// nodes scans the `histogram(p)` of every process it hosts, charged
+/// like any table scan of that length (one compare per bin).
+std::vector<std::vector<uint64_t>> GatherBinCounts(
+    sim::Machine& machine, const std::vector<int>& process_nodes,
+    const std::function<const HashHistogram&(size_t)>& histogram);
 
 /// Charges the scheduler work of one rebalance exchange: one statistics
 /// packet gathered from each join site, plus the override-table

@@ -30,10 +30,7 @@ DmlOutput RunDmlPhase(sim::Machine& machine, StoredRelation* relation,
   machine.BeginPhase(label);
   ChargeOperatorPhase(machine, static_cast<int>(disks.size()), 0, 0);
   machine.RunOnNodes(disks, [&](sim::Node& n) {
-    size_t di = 0;
-    for (size_t i = 0; i < disks.size(); ++i) {
-      if (disks[i] == n.id()) di = i;
-    }
+    const size_t di = machine.DiskIndexOf(n.id());
     touched[di] = touch(n, relation->fragment(di));
   });
   machine.EndPhase().IgnoreError();

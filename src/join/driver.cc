@@ -73,13 +73,10 @@ Status RunGrace(sim::Machine& machine, HashJoinEngine& engine,
                 const db::StoredRelation* inner,
                 const db::StoredRelation* outer, const JoinSpec& spec,
                 int num_buckets) {
-  const std::vector<int> disks = machine.DiskNodeIds();
-  BucketFileSet r_buckets(&machine, disks, &inner->schema(), num_buckets,
-                          "grace.R");
-  BucketFileSet s_buckets(&machine, disks, &outer->schema(), num_buckets,
-                          "grace.S");
+  BucketFileSet r_buckets(&machine, &inner->schema(), num_buckets, "grace.R");
+  BucketFileSet s_buckets(&machine, &outer->schema(), num_buckets, "grace.S");
   const db::SplitTable table =
-      db::SplitTable::GracePartitioning(disks, num_buckets);
+      db::SplitTable::GracePartitioning(machine.DiskNodeIds(), num_buckets);
 
   // Bucket-forming: both relations are written back to disk before any
   // joining starts (the defining property of the Grace algorithm).
@@ -108,13 +105,12 @@ Status RunHybrid(sim::Machine& machine, HashJoinEngine& engine,
                  const db::StoredRelation* inner,
                  const db::StoredRelation* outer, const JoinSpec& spec,
                  int num_buckets, const std::vector<int>& join_nodes) {
-  const std::vector<int> disks = machine.DiskNodeIds();
-  BucketFileSet r_buckets(&machine, disks, &inner->schema(), num_buckets - 1,
+  BucketFileSet r_buckets(&machine, &inner->schema(), num_buckets - 1,
                           "hybrid.R");
-  BucketFileSet s_buckets(&machine, disks, &outer->schema(), num_buckets - 1,
+  BucketFileSet s_buckets(&machine, &outer->schema(), num_buckets - 1,
                           "hybrid.S");
-  const db::SplitTable table =
-      db::SplitTable::HybridPartitioning(join_nodes, disks, num_buckets);
+  const db::SplitTable table = db::SplitTable::HybridPartitioning(
+      join_nodes, machine.DiskNodeIds(), num_buckets);
   BucketFileSet* r_files = num_buckets > 1 ? &r_buckets : nullptr;
   BucketFileSet* s_files = num_buckets > 1 ? &s_buckets : nullptr;
 
@@ -252,7 +248,6 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
 
     HashJoinEngine::Config config;
     config.join_nodes = join_nodes;
-    config.disk_nodes = machine.DiskNodeIds();
     config.inner_schema = &inner->schema();
     config.outer_schema = &outer->schema();
     config.inner_field = spec.inner_field;

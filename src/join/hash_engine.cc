@@ -20,16 +20,16 @@ constexpr double kClearFraction = 0.10;
 // ---------------------------------------------------------------------------
 
 BucketFileSet::BucketFileSet(sim::Machine* machine,
-                             const std::vector<int>& disk_nodes,
                              const storage::Schema* schema, int num_buckets,
                              const std::string& label)
     : num_buckets_(num_buckets) {
   GAMMA_CHECK_GE(num_buckets, 0);
+  const std::vector<int> disks = machine->DiskNodeIds();
   files_.resize(static_cast<size_t>(num_buckets));
   for (int b = 1; b <= num_buckets; ++b) {
     auto& row = files_[static_cast<size_t>(b - 1)];
-    row.reserve(disk_nodes.size());
-    for (int node_id : disk_nodes) {
+    row.reserve(disks.size());
+    for (int node_id : disks) {
       row.push_back(std::make_unique<storage::HeapFile>(
           &machine->node(node_id), schema,
           label + ".b" + std::to_string(b) + ".d" + std::to_string(node_id)));
@@ -78,11 +78,11 @@ void BucketFileSet::FreeBucket(int bucket) {
 HashJoinEngine::HashJoinEngine(sim::Machine* machine, Config config)
     : machine_(machine),
       config_(std::move(config)),
+      disks_(machine->DiskNodeIds()),
       exchange_(machine),
       overflow_exchange_(machine),
       store_exchange_(machine) {
   GAMMA_CHECK(!config_.join_nodes.empty());
-  GAMMA_CHECK(!config_.disk_nodes.empty());
   GAMMA_CHECK(config_.result != nullptr);
   GAMMA_CHECK(config_.stats != nullptr);
   jstate_.resize(config_.join_nodes.size());
@@ -95,14 +95,14 @@ HashJoinEngine::HashJoinEngine(sim::Machine* machine, Config config)
   // split-table mod structure — this is why Simple's HPJA and non-HPJA
   // remote curves coincide in Figure 14.
   std::vector<int> free_disks;
-  for (int disk : config_.disk_nodes) {
+  for (int disk : disks_) {
     bool claimed = false;
     for (int join_id : config_.join_nodes) {
       if (join_id == disk) claimed = true;
     }
     if (!claimed) free_disks.push_back(disk);
   }
-  if (free_disks.empty()) free_disks = config_.disk_nodes;
+  if (free_disks.empty()) free_disks = disks_;
   size_t next_free = 1 % free_disks.size();  // offset breaks alignment
   for (size_t ji = 0; ji < jstate_.size(); ++ji) {
     const sim::Node& join_node = machine_->node(config_.join_nodes[ji]);
@@ -116,26 +116,12 @@ HashJoinEngine::HashJoinEngine(sim::Machine* machine, Config config)
   }
 }
 
-HashJoinEngine::~HashJoinEngine() {
-  for (JoinNodeState& st : jstate_) {
-    if (st.r_overflow != nullptr) st.r_overflow->Free();
-    if (st.s_overflow != nullptr) st.s_overflow->Free();
-  }
-}
-
-size_t HashJoinEngine::DiskIndexOf(int node_id) const {
-  for (size_t i = 0; i < config_.disk_nodes.size(); ++i) {
-    if (config_.disk_nodes[i] == node_id) return i;
-  }
-  GAMMA_CHECK(false) << "node " << node_id << " is not a disk node";
-  return 0;
-}
+HashJoinEngine::~HashJoinEngine() { const Taken abandoned(jstate_); }
 
 std::vector<int> HashJoinEngine::Participants(bool with_disk_nodes) const {
   std::vector<int> ids = config_.join_nodes;
   if (with_disk_nodes) {
-    ids.insert(ids.end(), config_.disk_nodes.begin(),
-               config_.disk_nodes.end());
+    ids.insert(ids.end(), disks_.begin(), disks_.end());
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -145,7 +131,6 @@ std::vector<int> HashJoinEngine::Participants(bool with_disk_nodes) const {
 void HashJoinEngine::StartSubJoin() {
   filter_.reset();
   rebalance_plan_ = db::RebalancePlan{};
-  rebalance_rr_.clear();
   build_finalize_deferred_ = false;
   for (size_t ji = 0; ji < jstate_.size(); ++ji) {
     JoinNodeState& st = jstate_[ji];
@@ -182,12 +167,13 @@ void HashJoinEngine::SpoolToOverflow(sim::Node& from, size_t ji,
   // (Outer overflow files are pre-created before the probe phase so that
   // concurrent producers never race on creation.)
   const uint32_t bytes = t.size();
-  // Broker ledger: bytes leaving the join process's memory for its
-  // overflow file, booked against the process's node. Accounting only —
-  // the write itself is charged by the disk-side drain.
-  if (config_.broker != nullptr) {
-    config_.broker->NoteSpill(config_.join_nodes[ji], bytes);
-  }
+  // Broker ledger: bytes leaving for the process's overflow file, booked
+  // on the SPOOLING node — a probe-side producer spools on behalf of a
+  // join process on another node, and only the spooling task may touch
+  // its own node's entry (sim/memory_broker.h). Only totals are read.
+  // Accounting only — the write itself is charged by the disk-side
+  // drain.
+  if (config_.broker != nullptr) config_.broker->NoteSpill(from.id(), bytes);
   overflow_exchange_.Send(from.id(), jstate_[ji].host_disk_node,
                           OverflowMsg{std::move(t),
                                       static_cast<int32_t>(ji), is_inner},
@@ -251,204 +237,34 @@ void HashJoinEngine::HandleProbeBatch(sim::Node& n, size_t ji,
   }
   st.table->ProbeBatch(
       keys, hashes, count, [&](size_t k, const storage::Tuple& r) {
-        n.ChargeCpu(n.cost().cpu_build_result_seconds,
-                    sim::CostCategory::kBuildResult);
-        storage::Tuple result =
-            storage::Tuple::Concat(r, msgs[k].data, msgs[k].size);
-        ++n.counters().result_tuples;
-        const size_t di = st.store_rr_next++ % config_.disk_nodes.size();
-        const uint32_t bytes = result.size();
-        store_exchange_.Send(n.id(), config_.disk_nodes[di],
-                             std::move(result), bytes);
+        EmitResult(n, storage::Tuple::Concat(r, msgs[k].data, msgs[k].size),
+                   &st.store_rr_next, disks_, store_exchange_);
       });
 }
 
-void HashJoinEngine::RouteBlock(sim::Node& n, const db::SplitTable& table,
-                                uint64_t seed, Side side,
-                                const storage::TupleBlock& block,
-                                const db::PredicateList* predicate,
-                                RouteScratch* s) {
-  const storage::Schema& schema =
-      side == Side::kInner ? *config_.inner_schema : *config_.outer_schema;
-  const int field =
-      side == Side::kInner ? config_.inner_field : config_.outer_field;
-  const size_t count = block.size();
-  const bool has_pred = predicate != nullptr && !predicate->empty();
-
-  // Pass 1 (uncharged, batch-friendly): keys, predicate verdicts,
-  // hashes and split-table indices for the whole block. Hashing a tuple
-  // the predicate later drops is harmless — nothing here charges or
-  // mutates engine state.
-  for (size_t i = 0; i < count; ++i) {
-    const uint8_t* data = block.view(i).data;
-    s->keys[i] = schema.GetInt32(data, static_cast<size_t>(field));
-    s->pred_ok[i] = !has_pred || db::EvalAll(*predicate, schema, data);
-  }
-  for (size_t i = 0; i < count; ++i) {
-    s->hashes[i] = HashJoinAttribute(s->keys[i], seed);
-  }
-  table.RouteIndices(s->hashes.data(), count, s->route.data());
-
-  // Pass 2 (sequential): the scalar path's per-tuple charge chain
-  // (read, predicate, route, filter), routing decisions, overflow
-  // spools and rebalance cursor updates, in scan order — so the
-  // floating-point accumulation order is identical tuple for tuple.
-  size_t m = 0;
-  for (size_t i = 0; i < count; ++i) {
-    n.ChargeCpu(n.cost().cpu_read_tuple_seconds,
-                sim::CostCategory::kReadTuple);
-    if (has_pred) {
-      n.ChargeCpu(n.cost().cpu_predicate_seconds,
-                  sim::CostCategory::kPredicate);
-      if (!s->pred_ok[i]) continue;
-    }
-    const uint64_t hash = s->hashes[i];
-    n.ChargeCpu(n.cost().cpu_hash_route_seconds,
-                sim::CostCategory::kHashRoute);
-    const db::SplitEntry& entry = table.entry(s->route[i]);
-    const uint32_t bytes = block.view(i).size;
-
-    if (entry.bucket > 0) {
-      // Forming-filter extension: outer tuples failing the filter built
-      // during the inner relation's bucket-forming pass are dropped
-      // before they are ever transmitted or stored.
-      if (side == Side::kOuter && forming_filter_ != nullptr) {
-        n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                    sim::CostCategory::kFilterOp);
-        if (!forming_filter_->MayContain(
-                static_cast<int>(DiskIndexOf(entry.node)), hash)) {
-          ++n.counters().filter_drops;
-          continue;
-        }
-      }
-      exchange_.Account(n.id(), entry.node, bytes);
-      s->staged[m] = RoutedTuple{
-          block.view(i).data, bytes, hash,
-          side == Side::kInner ? kBucketInner : kBucketOuter, entry.bucket};
-      s->send_dest[m] = entry.node;
-      ++m;
-      continue;
-    }
-
-    // Bucket-0 (joining) entries occupy the first J table slots in both
-    // the joining and Hybrid-partitioning layouts, so the entry index
-    // IS the join PROCESS index — the paper's split tables are
-    // per-process, which permits several join processes on one node
-    // (Appendix A's "fifth join process" remedy).
-    size_t ji = s->route[i];
-    GAMMA_DCHECK(ji < jstate_.size());
-    GAMMA_DCHECK(config_.join_nodes[ji] == entry.node);
-    if (side == Side::kInner) {
-      exchange_.Account(n.id(), entry.node, bytes);
-      s->staged[m] = RoutedTuple{block.view(i).data, bytes, hash, kBuild,
-                                 static_cast<int32_t>(ji)};
-      s->send_dest[m] = entry.node;
-      ++m;
-      continue;
-    }
-
-    // Rebalanced routing: an overridden bin's probe tuples go to its
-    // destination set instead of the static (mod J) process — each
-    // tuple to exactly ONE destination, chosen by this producer's
-    // per-bin round-robin cursor, so a replicated bin's probes spread
-    // evenly and every result pair is still produced exactly once.
-    if (rebalance_plan_.active) {
-      if (const std::vector<int>* dests =
-              rebalance_plan_.DestinationsFor(hash)) {
-        uint32_t& rr =
-            rebalance_rr_[DiskIndexOf(n.id())][rebalance_plan_.BinOf(hash)];
-        ji = static_cast<size_t>((*dests)[rr++ % dests->size()]);
-      }
-    }
-    const int dest_node = config_.join_nodes[ji];
-
-    // Outer side: the augmented split table routes overflow-range
-    // tuples "directly to the S' overflow files" (Section 3.2, step 3).
-    if (hash >= jstate_[ji].cutoff) {
-      SpoolToOverflow(n, ji, /*is_inner=*/false,
-                      storage::Tuple(block.view(i).data, bytes));
-      continue;
-    }
-    if (filter_ != nullptr) {
-      n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                  sim::CostCategory::kFilterOp);
-      if (!filter_->MayContain(static_cast<int>(ji), hash)) {
-        ++n.counters().filter_drops;
-        continue;
-      }
-    }
-    exchange_.Account(n.id(), dest_node, bytes);
-    s->staged[m] = RoutedTuple{block.view(i).data, bytes, hash, kProbe,
-                               static_cast<int32_t>(ji)};
-    s->send_dest[m] = dest_node;
-    ++m;
-  }
-  if (m == 0) return;
-
-  // Pass 3: stable counting sort of the staged views by destination,
-  // then one SendBatch per destination. Within a lane the views land in
-  // scan order — exactly the per-tuple Send() order — and only the
-  // 24-byte view moves; the payload bytes stay on the disk page until a
-  // consumer stores them.
-  std::fill(s->dest_counts.begin(), s->dest_counts.end(), 0);
-  for (size_t k = 0; k < m; ++k) {
-    ++s->dest_counts[static_cast<size_t>(s->send_dest[k])];
-  }
-  uint32_t run = 0;
-  for (size_t d = 0; d < s->dest_counts.size(); ++d) {
-    s->dest_starts[d] = run;
-    run += s->dest_counts[d];
-  }
-  for (size_t k = 0; k < m; ++k) {
-    s->send_order[s->dest_starts[static_cast<size_t>(s->send_dest[k])]++] =
-        static_cast<uint32_t>(k);
-  }
-  for (size_t d = 0; d < s->dest_counts.size(); ++d) {
-    const uint32_t c = s->dest_counts[d];
-    if (c == 0) continue;
-    const uint32_t start = s->dest_starts[d] - c;  // starts moved to ends
-    exchange_.SendBatch(
-        n.id(), static_cast<int>(d), c, [&](size_t k, RoutedTuple& out) {
-          out = s->staged[s->send_order[start + k]];
-        });
-  }
-}
-
-Status HashJoinEngine::DrainDiskSide(sim::Node& n, BucketFileSet* buckets) {
+Status HashJoinEngine::DrainDiskSides(BucketFileSet* buckets) {
   // Both inboxes are always drained in full (the exchange must be empty
   // at the phase barrier even when a write fails); only the FIRST error
   // is kept, and tuples after it are dropped — the restarted attempt
   // regenerates them.
-  Status st_out;
-  overflow_exchange_.DrainInboxBlocks(
-      n.id(), [&](std::vector<OverflowMsg>& lane) {
-        for (OverflowMsg& m : lane) {
-          JoinNodeState& st = jstate_[static_cast<size_t>(m.join_index)];
-          storage::HeapFile* file =
-              m.is_inner ? st.r_overflow.get() : st.s_overflow.get();
-          GAMMA_CHECK(file != nullptr);
-          const Status append = file->Append(m.tuple);
-          if (st_out.ok()) st_out = append;
-        }
-      });
-  store_exchange_.DrainInboxBlocks(n.id(), [&](std::vector<storage::Tuple>&
-                                                   lane) {
-    const size_t di = DiskIndexOf(n.id());
-    for (storage::Tuple& t : lane) {
-      if (config_.capture != nullptr) {
-        (*config_.capture)[di].AddConcatRecord(*config_.inner_schema,
-                                               config_.inner_field, t.data(),
-                                               t.size());
-      }
-      const Status append = config_.result->fragment(di).Append(t);
-      if (st_out.ok()) st_out = append;
-    }
+  return machine_->TryRunOnNodes(disks_, [&](sim::Node& n) -> Status {
+    Status st;
+    overflow_exchange_.DrainInboxBlocks(
+        n.id(), [&](std::vector<OverflowMsg>& lane) {
+          for (OverflowMsg& m : lane) {
+            JoinNodeState& js = jstate_[static_cast<size_t>(m.join_index)];
+            storage::HeapFile* file =
+                m.is_inner ? js.r_overflow.get() : js.s_overflow.get();
+            GAMMA_CHECK(file != nullptr);
+            st.Update(file->Append(m.tuple));
+          }
+        });
+    st.Update(StoreResults(n, machine_->DiskIndexOf(n.id()), store_exchange_,
+                           config_.result, *config_.inner_schema,
+                           config_.inner_field, config_.capture));
+    if (buckets != nullptr) st.Update(buckets->FlushFilesOwnedBy(n.id()));
+    return st;
   });
-  if (buckets != nullptr) {
-    const Status flush = buckets->FlushFilesOwnedBy(n.id());
-    if (st_out.ok()) st_out = flush;
-  }
-  return st_out;
 }
 
 void HashJoinEngine::BuildFilterFromResidents() {
@@ -467,7 +283,7 @@ void HashJoinEngine::BuildFilterFromResidents() {
   });
   db::ChargeFilterDistribution(*machine_,
                                static_cast<int>(config_.join_nodes.size()),
-                               static_cast<int>(config_.disk_nodes.size()));
+                               static_cast<int>(disks_.size()));
 }
 
 void HashJoinEngine::CollectChainStats() {
@@ -490,22 +306,13 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
   const size_t num_processes = jstate_.size();
   machine_->BeginPhase(label);
 
-  // Each join site scans its resident histogram (charged like any other
-  // table scan of that length) and ships the counts to the scheduler.
-  std::vector<std::vector<uint64_t>> counts(num_processes);
-  machine_->RunOnNodes(Participants(false), [&](sim::Node& n) {
-    for (size_t ji = 0; ji < num_processes; ++ji) {
-      if (config_.join_nodes[ji] != n.id()) continue;
-      const HashHistogram& h = jstate_[ji].table->histogram();
-      counts[ji].resize(h.num_bins());
-      for (uint32_t b = 0; b < h.num_bins(); ++b) {
-        counts[ji][b] = h.bin_count(b);
-      }
-      n.ChargeCpu(
-          static_cast<double>(h.num_bins()) * n.cost().cpu_compare_seconds,
-          sim::CostCategory::kCompare);
-    }
-  });
+  // Each join site scans its resident histogram and ships the counts to
+  // the scheduler.
+  const std::vector<std::vector<uint64_t>> counts = db::GatherBinCounts(
+      *machine_, config_.join_nodes,
+      [this](size_t ji) -> const HashHistogram& {
+        return jstate_[ji].table->histogram();
+      });
 
   // An overflow-engaged sub-join keeps the static route: overflow files
   // were already written under the static mapping, and replicated
@@ -521,16 +328,12 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
         config_.capacity_bytes_per_node, config_.rebalance);
   }
   db::ChargeRebalance(*machine_, static_cast<int>(num_processes),
-                      static_cast<int>(config_.disk_nodes.size()),
+                      static_cast<int>(disks_.size()),
                       rebalance_plan_.SerializedBytes());
 
   if (rebalance_plan_.active) {
     ++machine_->node(config_.join_nodes[0]).counters().rebalance_plans;
-    rebalance_rr_.resize(config_.disk_nodes.size());
-    for (size_t di = 0; di < rebalance_rr_.size(); ++di) {
-      rebalance_rr_[di].assign(rebalance_plan_.num_bins,
-                               static_cast<uint32_t>(di));
-    }
+    rebalance_plan_.Install(disks_.size());
 
     // Round A: every process extracts its overridden-bin residents and
     // ships a view to each destination (possibly itself — a
@@ -594,7 +397,7 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
                                       const std::vector<Producer>& producers,
                                       uint64_t seed, Side side,
                                       BucketFileSet* buckets) {
-  GAMMA_CHECK_EQ(producers.size(), config_.disk_nodes.size());
+  GAMMA_CHECK_EQ(producers.size(), disks_.size());
   const bool has_stored_buckets = table.MaxBucket() > 0;
   if (has_stored_buckets && buckets == nullptr) {
     return Status::InvalidArgument(
@@ -609,16 +412,15 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
     }
   } else if (has_stored_buckets && config_.use_bit_filters &&
              config_.use_forming_bit_filters) {
-    forming_filter_ = std::make_unique<db::BitFilterSet>(
-        static_cast<int>(config_.disk_nodes.size()));
+    forming_filter_ =
+        std::make_unique<db::BitFilterSet>(static_cast<int>(disks_.size()));
   }
 
   machine_->BeginPhase(label);
   const int consumers =
       static_cast<int>(config_.join_nodes.size()) +
-      (has_stored_buckets ? static_cast<int>(config_.disk_nodes.size()) : 0);
-  db::ChargeOperatorPhase(*machine_,
-                          static_cast<int>(config_.disk_nodes.size()),
+      (has_stored_buckets ? static_cast<int>(disks_.size()) : 0);
+  db::ChargeOperatorPhase(*machine_, static_cast<int>(disks_.size()),
                           consumers, table.SerializedBytes());
 
   // Every round runs to completion even after an error: the exchanges
@@ -627,77 +429,123 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
   // is reported.
   Status phase_status;
 
-  // Round A: producers scan blocks and route them.
-  {
-    const Status round = machine_->TryRunOnNodes(
-        config_.disk_nodes, [&](sim::Node& n) -> Status {
-          const size_t di = DiskIndexOf(n.id());
-          RouteScratch scratch(static_cast<size_t>(machine_->num_nodes()));
-          return producers[di].scan(n, [&](const storage::TupleBlock& block) {
-            RouteBlock(n, table, seed, side, block, producers[di].predicate,
-                       &scratch);
-          });
+  // Round A: producers scan blocks and route them. The engine's part of
+  // the charge chain is the filter work in `decide`: the forming filter
+  // on stored-bucket entries, and on the probe side the rebalance
+  // override, the augmented split table's overflow cutoff and the bit
+  // filter.
+  const bool inner = side == Side::kInner;
+  phase_status.Update(machine_->TryRunOnNodes(
+      disks_, [&](sim::Node& n) -> Status {
+        const size_t di = machine_->DiskIndexOf(n.id());
+        const RouteSource source{
+            inner ? config_.inner_schema : config_.outer_schema,
+            inner ? config_.inner_field : config_.outer_field, seed, &table,
+            producers[di].predicate};
+        const auto decide = [&](const storage::TupleView& view, uint64_t hash,
+                                uint32_t index) -> Route {
+          const db::SplitEntry& entry = table.entry(index);
+          if (entry.bucket > 0) {
+            // Forming-filter extension: outer tuples failing the filter
+            // built during the inner relation's bucket-forming pass are
+            // dropped before they are ever transmitted or stored.
+            if (!inner && forming_filter_ != nullptr) {
+              n.ChargeCpu(n.cost().cpu_filter_op_seconds,
+                          sim::CostCategory::kFilterOp);
+              if (!forming_filter_->MayContain(
+                      static_cast<int>(machine_->DiskIndexOf(entry.node)),
+                      hash)) {
+                ++n.counters().filter_drops;
+                return Route::Drop();
+              }
+            }
+            return Route{entry.node, inner ? kBucketInner : kBucketOuter,
+                         entry.bucket};
+          }
+          // Bucket-0 (joining) entries occupy the first J table slots in
+          // both the joining and Hybrid-partitioning layouts, so the
+          // entry index IS the join PROCESS index — the paper's split
+          // tables are per-process, which permits several join processes
+          // on one node (Appendix A's "fifth join process" remedy).
+          GAMMA_DCHECK(index < jstate_.size());
+          GAMMA_DCHECK(config_.join_nodes[index] == entry.node);
+          if (inner) {
+            return Route{entry.node, kBuild, static_cast<int32_t>(index)};
+          }
+          const size_t ji = rebalance_plan_.RouteProbe(di, hash, index);
+          // The augmented split table routes overflow-range tuples
+          // "directly to the S' overflow files" (Section 3.2, step 3).
+          if (hash >= jstate_[ji].cutoff) {
+            SpoolToOverflow(n, ji, /*is_inner=*/false, view.ToTuple());
+            return Route::Drop();
+          }
+          if (filter_ != nullptr) {
+            n.ChargeCpu(n.cost().cpu_filter_op_seconds,
+                        sim::CostCategory::kFilterOp);
+            if (!filter_->MayContain(static_cast<int>(ji), hash)) {
+              ++n.counters().filter_drops;
+              return Route::Drop();
+            }
+          }
+          return Route{config_.join_nodes[ji], kProbe,
+                       static_cast<int32_t>(ji)};
+        };
+        RouteScratch scratch(static_cast<size_t>(machine_->num_nodes()));
+        return producers[di].scan(n, [&](const storage::TupleBlock& block) {
+          RouteBlock(n, source, block, exchange_, &scratch, decide);
         });
-    if (phase_status.ok()) phase_status = round;
-  }
+      }));
 
   // Round B: consumers build/probe/append, one inbox lane (= one sender
   // block) at a time. Runs of probe arrivals for the same join process
   // go through the prefetching batched probe; concatenated lane order
   // equals the old consolidated TakeInbox order, so the charge sequence
   // is unchanged.
-  {
-    const Status round = machine_->TryRunOnNodes(
-        Participants(has_stored_buckets), [&](sim::Node& n) -> Status {
-          Status st;
-          exchange_.DrainInboxBlocks(n.id(), [&](std::vector<RoutedTuple>&
-                                                     lane) {
-            const size_t items = lane.size();
-            for (size_t p = 0; p < items;) {
-              RoutedTuple& m = lane[p];
-              if (m.kind == kProbe) {
-                size_t len = 1;
-                while (p + len < items &&
-                       len < JoinHashTable::kProbeBatchMax &&
-                       lane[p + len].kind == kProbe &&
-                       lane[p + len].aux == m.aux) {
-                  ++len;
-                }
-                HandleProbeBatch(n, static_cast<size_t>(m.aux), &lane[p],
-                                 len);
-                p += len;
-                continue;
+  phase_status.Update(machine_->TryRunOnNodes(
+      Participants(has_stored_buckets), [&](sim::Node& n) -> Status {
+        Status st;
+        exchange_.DrainInboxBlocks(n.id(), [&](std::vector<RoutedTuple>&
+                                                   lane) {
+          const size_t items = lane.size();
+          for (size_t p = 0; p < items;) {
+            RoutedTuple& m = lane[p];
+            if (m.kind == kProbe) {
+              size_t len = 1;
+              while (p + len < items && len < JoinHashTable::kProbeBatchMax &&
+                     lane[p + len].kind == kProbe &&
+                     lane[p + len].aux == m.aux) {
+                ++len;
               }
-              switch (m.kind) {
-                case kBuild:
-                  HandleBuildArrival(n, static_cast<size_t>(m.aux), m.hash,
-                                     storage::Tuple(m.data, m.size));
-                  break;
-                case kBucketInner:
-                  if (forming_filter_ != nullptr) {
-                    // Each receiving disk site contributes its slice as
-                    // inner tuples arrive to be stored.
-                    n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                                sim::CostCategory::kFilterOp);
-                    forming_filter_->Set(
-                        static_cast<int>(DiskIndexOf(n.id())), m.hash);
-                  }
-                  [[fallthrough]];
-                case kBucketOuter: {
-                  const Status append =
-                      buckets->file(m.aux, DiskIndexOf(n.id()))
-                          .AppendRecord(m.data);
-                  if (st.ok()) st = append;
-                  break;
-                }
-              }
-              ++p;
+              HandleProbeBatch(n, static_cast<size_t>(m.aux), &lane[p], len);
+              p += len;
+              continue;
             }
-          });
-          return st;
+            switch (m.kind) {
+              case kBuild:
+                HandleBuildArrival(n, static_cast<size_t>(m.aux), m.hash,
+                                   storage::Tuple(m.data, m.size));
+                break;
+              case kBucketInner:
+                if (forming_filter_ != nullptr) {
+                  // Each receiving disk site contributes its slice as
+                  // inner tuples arrive to be stored.
+                  n.ChargeCpu(n.cost().cpu_filter_op_seconds,
+                              sim::CostCategory::kFilterOp);
+                  forming_filter_->Set(
+                      static_cast<int>(machine_->DiskIndexOf(n.id())),
+                      m.hash);
+                }
+                [[fallthrough]];
+              case kBucketOuter:
+                st.Update(buckets->file(m.aux, machine_->DiskIndexOf(n.id()))
+                              .AppendRecord(m.data));
+                break;
+            }
+            ++p;
+          }
         });
-    if (phase_status.ok()) phase_status = round;
-  }
+        return st;
+      }));
 
   // End of the build side: materialize the bit filter and record chain
   // statistics before any probing happens. Pure bucket-forming tables
@@ -707,7 +555,7 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
   // MaybeRebalance (which always runs next): the filter slices are
   // keyed by join-process index, so they must be built from the
   // residency AFTER any heavy-bin migration.
-  if (side == Side::kInner && table.HasImmediateBucket()) {
+  if (inner && table.HasImmediateBucket()) {
     if (config_.rebalance.enabled) {
       build_finalize_deferred_ = true;
     } else {
@@ -715,26 +563,17 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
       CollectChainStats();
     }
   }
-  if (side == Side::kInner && forming_filter_ != nullptr &&
-      has_stored_buckets) {
+  if (inner && forming_filter_ != nullptr && has_stored_buckets) {
     // Gather the forming-filter slices and broadcast the packet to the
     // outer relation's producers before its forming pass starts.
-    db::ChargeFilterDistribution(*machine_,
-                                 static_cast<int>(config_.disk_nodes.size()),
-                                 static_cast<int>(config_.disk_nodes.size()));
+    db::ChargeFilterDistribution(*machine_, static_cast<int>(disks_.size()),
+                                 static_cast<int>(disks_.size()));
   }
 
   // Round C: disk side absorbs overflow spool, result store and bucket
   // flushes.
-  {
-    const Status round = machine_->TryRunOnNodes(
-        config_.disk_nodes,
-        [&](sim::Node& n) -> Status { return DrainDiskSide(n, buckets); });
-    if (phase_status.ok()) phase_status = round;
-  }
-
-  const Status end = machine_->EndPhase();
-  if (phase_status.ok()) phase_status = end;
+  phase_status.Update(DrainDiskSides(buckets));
+  phase_status.Update(machine_->EndPhase());
   return phase_status;
 }
 
@@ -759,6 +598,40 @@ uint64_t HashJoinEngine::OverflowLevelSeed(uint64_t base_seed, int level) {
   if (level == 0) return base_seed;
   return Mix64(base_seed ^
                (kDefaultHashSeed * static_cast<uint64_t>(level)));
+}
+
+HashJoinEngine::Taken::Taken(std::vector<JoinNodeState>& jstate)
+    : r(jstate.size()), s(jstate.size()) {
+  for (size_t ji = 0; ji < jstate.size(); ++ji) {
+    r[ji] = std::move(jstate[ji].r_overflow);
+    s[ji] = std::move(jstate[ji].s_overflow);
+  }
+}
+
+HashJoinEngine::Taken::~Taken() {
+  for (size_t ji = 0; ji < r.size(); ++ji) {
+    if (r[ji] != nullptr) r[ji]->Free();
+    if (s[ji] != nullptr) s[ji]->Free();
+  }
+}
+
+Status HashJoinEngine::ScanTaken(
+    sim::Node& n, const Taken& taken, bool inner_side,
+    const std::function<void(size_t, const storage::TupleBlock&)>& yield) {
+  for (size_t ji = 0; ji < jstate_.size(); ++ji) {
+    if (jstate_[ji].host_disk_node != n.id()) continue;
+    storage::HeapFile* file =
+        inner_side ? taken.r[ji].get() : taken.s[ji].get();
+    if (file == nullptr) continue;
+    GAMMA_RETURN_IF_ERROR(file->FlushAppends());
+    if (config_.broker != nullptr) {
+      config_.broker->NoteRefill(n.id(), file->data_bytes());
+    }
+    GAMMA_RETURN_IF_ERROR(ScanBlocks(
+        n, *file, exchange_,
+        [&](const storage::TupleBlock& block) { yield(ji, block); }));
+  }
+  return Status::OK();
 }
 
 Status HashJoinEngine::ResolveOverflows(const std::string& label,
@@ -787,67 +660,32 @@ Status HashJoinEngine::ResolveOverflows(const std::string& label,
     config_.stats->overflow_levels =
         std::max(config_.stats->overflow_levels, level);
 
-    struct Taken {
-      std::unique_ptr<storage::HeapFile> r, s;
-    };
-    std::vector<Taken> taken(jstate_.size());
-    for (size_t ji = 0; ji < jstate_.size(); ++ji) {
-      taken[ji].r = std::move(jstate_[ji].r_overflow);
-      taken[ji].s = std::move(jstate_[ji].s_overflow);
-    }
-
+    const Taken taken(jstate_);
     ++overflow_file_counter_;
     StartSubJoin();
     const uint64_t seed = OverflowLevelSeed(base_seed, level);
     const db::SplitTable joining = db::SplitTable::Joining(config_.join_nodes);
-
-    const auto make_producers = [&](bool inner_side) {
-      std::vector<Producer> producers;
-      producers.reserve(config_.disk_nodes.size());
-      for (size_t di = 0; di < config_.disk_nodes.size(); ++di) {
-        const int host = config_.disk_nodes[di];
-        producers.push_back(Producer{
-            [this, host, &taken, inner_side](
-                sim::Node& n, const BlockYield& yield) -> Status {
-              GAMMA_CHECK_EQ(n.id(), host);
-              for (size_t ji = 0; ji < jstate_.size(); ++ji) {
-                if (jstate_[ji].host_disk_node != host) continue;
-                storage::HeapFile* file =
-                    inner_side ? taken[ji].r.get() : taken[ji].s.get();
-                if (file == nullptr) continue;
-                GAMMA_RETURN_IF_ERROR(file->FlushAppends());
-                if (config_.broker != nullptr) {
-                  config_.broker->NoteRefill(n.id(), file->data_bytes());
-                }
-                exchange_.ReserveRow(n.id(), file->tuple_count());
-                auto scanner = file->Scan();
-                storage::TupleBlock block;
-                while (scanner.NextBlock(&block)) yield(block);
-                GAMMA_RETURN_IF_ERROR(scanner.status());
-              }
-              return Status::OK();
-            },
-            nullptr});
-      }
-      return producers;
+    // Every disk node's producer scans the taken files it hosts.
+    const auto producers = [&](bool inner_side) {
+      const Producer scan_taken{
+          [this, &taken, inner_side](sim::Node& n, const BlockYield& yield) {
+            return ScanTaken(n, taken, inner_side,
+                             [&](size_t, const storage::TupleBlock& block) {
+                               yield(block);
+                             });
+          },
+          nullptr};
+      return std::vector<Producer>(disks_.size(), scan_taken);
     };
 
     const std::string level_tag = " L" + std::to_string(level);
-    Status st = PartitionPhase(label + " build" + level_tag, joining,
-                               make_producers(true), seed, Side::kInner,
-                               nullptr);
-    if (st.ok()) st = MaybeRebalance(label + " rebalance" + level_tag);
-    if (st.ok()) {
-      st = PartitionPhase(label + " probe" + level_tag, joining,
-                          make_producers(false), seed, Side::kOuter, nullptr);
-    }
-    // Free the consumed level's files on failure too: the restarted
-    // attempt rebuilds its overflow partitions from scratch.
-    for (Taken& t : taken) {
-      if (t.r != nullptr) t.r->Free();
-      if (t.s != nullptr) t.s->Free();
-    }
-    GAMMA_RETURN_IF_ERROR(st);
+    GAMMA_RETURN_IF_ERROR(PartitionPhase(label + " build" + level_tag,
+                                         joining, producers(true), seed,
+                                         Side::kInner, nullptr));
+    GAMMA_RETURN_IF_ERROR(MaybeRebalance(label + " rebalance" + level_tag));
+    GAMMA_RETURN_IF_ERROR(PartitionPhase(label + " probe" + level_tag,
+                                         joining, producers(false), seed,
+                                         Side::kOuter, nullptr));
   }
   return Status::OK();
 }
@@ -861,63 +699,34 @@ Status HashJoinEngine::NestedLoopFallback(const std::string& label,
     ++pass;
     ++config_.stats->nested_loop_passes;
 
-    struct Taken {
-      std::unique_ptr<storage::HeapFile> r, s;
-    };
-    std::vector<Taken> taken(num_processes);
-    for (size_t ji = 0; ji < num_processes; ++ji) {
-      taken[ji].r = std::move(jstate_[ji].r_overflow);
-      taken[ji].s = std::move(jstate_[ji].s_overflow);
-    }
+    const Taken taken(jstate_);
     ++overflow_file_counter_;
     StartSubJoin();
     const std::string pass_tag = " P" + std::to_string(pass);
     Status fallback_status;
 
     // Scans every file of `taken` on one side, shipping each tuple to
-    // its join process with the per-tuple read + hash charges of the
-    // routing path. No split table: a fallback tuple's destination is
-    // the process whose overflow file held it.
+    // its join process through the routing path's per-tuple read + hash
+    // charges. No split table: a fallback tuple's destination is the
+    // process whose overflow file held it.
     const auto run_scan_round = [&](bool inner_side, RoutedKind kind) {
-      return machine_->TryRunOnNodes(
-          config_.disk_nodes, [&](sim::Node& n) -> Status {
-            for (size_t ji = 0; ji < num_processes; ++ji) {
-              if (jstate_[ji].host_disk_node != n.id()) continue;
-              storage::HeapFile* file =
-                  inner_side ? taken[ji].r.get() : taken[ji].s.get();
-              if (file == nullptr) continue;
-              GAMMA_RETURN_IF_ERROR(file->FlushAppends());
-              if (config_.broker != nullptr) {
-                config_.broker->NoteRefill(n.id(), file->data_bytes());
-              }
-              exchange_.ReserveRow(n.id(), file->tuple_count());
-              const storage::Schema& schema = inner_side
-                                                  ? *config_.inner_schema
-                                                  : *config_.outer_schema;
-              const size_t field = static_cast<size_t>(
-                  inner_side ? config_.inner_field : config_.outer_field);
-              const int dest = config_.join_nodes[ji];
-              auto scanner = file->Scan();
-              storage::TupleBlock block;
-              while (scanner.NextBlock(&block)) {
-                for (size_t i = 0; i < block.size(); ++i) {
-                  n.ChargeCpu(n.cost().cpu_read_tuple_seconds,
-                              sim::CostCategory::kReadTuple);
-                  n.ChargeCpu(n.cost().cpu_hash_route_seconds,
-                              sim::CostCategory::kHashRoute);
-                  const uint64_t hash = HashJoinAttribute(
-                      schema.GetInt32(block.view(i).data, field), seed);
-                  exchange_.Send(n.id(), dest,
-                                 RoutedTuple{block.view(i).data,
-                                             block.view(i).size, hash, kind,
-                                             static_cast<int32_t>(ji)},
-                                 block.view(i).size);
-                }
-              }
-              GAMMA_RETURN_IF_ERROR(scanner.status());
-            }
-            return Status::OK();
-          });
+      const RouteSource source{
+          inner_side ? config_.inner_schema : config_.outer_schema,
+          inner_side ? config_.inner_field : config_.outer_field, seed,
+          nullptr, nullptr};
+      return machine_->TryRunOnNodes(disks_, [&](sim::Node& n) -> Status {
+        RouteScratch scratch(static_cast<size_t>(machine_->num_nodes()));
+        return ScanTaken(
+            n, taken, inner_side,
+            [&](size_t ji, const storage::TupleBlock& block) {
+              const Route owner{config_.join_nodes[ji], kind,
+                                static_cast<int32_t>(ji)};
+              RouteBlock(n, source, block, exchange_, &scratch,
+                         [&](const storage::TupleView&, uint64_t, uint32_t) {
+                           return owner;
+                         });
+            });
+      });
     };
 
     // Build phase: FIFO-fill the resident tables from the remaining R
@@ -925,50 +734,34 @@ Status HashJoinEngine::NestedLoopFallback(const std::string& label,
     // resident-slice container; a slice is whatever prefix fits).
     // Rejected tuples re-spool for the next pass.
     machine_->BeginPhase(label + " nl build" + pass_tag);
-    db::ChargeOperatorPhase(*machine_,
-                            static_cast<int>(config_.disk_nodes.size()),
+    db::ChargeOperatorPhase(*machine_, static_cast<int>(disks_.size()),
                             static_cast<int>(num_processes), 0);
-    {
-      const Status round = run_scan_round(true, kBuild);
-      if (fallback_status.ok()) fallback_status = round;
-    }
+    fallback_status.Update(run_scan_round(true, kBuild));
     // One overflow event per (pass, process) that could not take its
     // whole remaining file; per-process flags so concurrent consumer
     // tasks never share a byte.
     std::vector<uint8_t> rejected(num_processes, 0);
-    {
-      const Status round = machine_->TryRunOnNodes(
-          Participants(false), [&](sim::Node& n) -> Status {
-            exchange_.DrainInboxBlocks(
-                n.id(), [&](std::vector<RoutedTuple>& lane) {
-                  for (RoutedTuple& m : lane) {
-                    const size_t ji = static_cast<size_t>(m.aux);
-                    storage::Tuple t(m.data, m.size);
-                    if (!jstate_[ji].table->Insert(std::move(t), m.hash)) {
-                      if (rejected[ji] == 0) {
-                        rejected[ji] = 1;
-                        ++n.counters().ht_overflows;
-                      }
-                      SpoolToOverflow(n, ji, /*is_inner=*/true,
-                                      std::move(t));
+    fallback_status.Update(machine_->TryRunOnNodes(
+        Participants(false), [&](sim::Node& n) -> Status {
+          exchange_.DrainInboxBlocks(
+              n.id(), [&](std::vector<RoutedTuple>& lane) {
+                for (RoutedTuple& m : lane) {
+                  const size_t ji = static_cast<size_t>(m.aux);
+                  storage::Tuple t(m.data, m.size);
+                  if (!jstate_[ji].table->Insert(std::move(t), m.hash)) {
+                    if (rejected[ji] == 0) {
+                      rejected[ji] = 1;
+                      ++n.counters().ht_overflows;
                     }
+                    SpoolToOverflow(n, ji, /*is_inner=*/true, std::move(t));
                   }
-                });
-            return Status::OK();
-          });
-      if (fallback_status.ok()) fallback_status = round;
-    }
-    {
-      const Status round = machine_->TryRunOnNodes(
-          config_.disk_nodes,
-          [&](sim::Node& n) -> Status { return DrainDiskSide(n, nullptr); });
-      if (fallback_status.ok()) fallback_status = round;
-    }
+                }
+              });
+          return Status::OK();
+        }));
+    fallback_status.Update(DrainDiskSides(nullptr));
     CollectChainStats();
-    {
-      const Status end = machine_->EndPhase();
-      if (fallback_status.ok()) fallback_status = end;
-    }
+    fallback_status.Update(machine_->EndPhase());
 
     // Which processes still hold un-resident R? Their S must survive
     // this pass: every probe of theirs is re-spooled after probing.
@@ -985,62 +778,38 @@ Status HashJoinEngine::NestedLoopFallback(const std::string& label,
     // where r is resident — because slices partition the R overflow.
     if (fallback_status.ok()) {
       machine_->BeginPhase(label + " nl probe" + pass_tag);
-      db::ChargeOperatorPhase(*machine_,
-                              static_cast<int>(config_.disk_nodes.size()),
+      db::ChargeOperatorPhase(*machine_, static_cast<int>(disks_.size()),
                               static_cast<int>(num_processes), 0);
-      {
-        const Status round = run_scan_round(false, kProbe);
-        if (fallback_status.ok()) fallback_status = round;
-      }
-      {
-        const Status round = machine_->TryRunOnNodes(
-            Participants(false), [&](sim::Node& n) -> Status {
-              exchange_.DrainInboxBlocks(
-                  n.id(), [&](std::vector<RoutedTuple>& lane) {
-                    const size_t items = lane.size();
-                    for (size_t p = 0; p < items;) {
-                      const RoutedTuple& m = lane[p];
-                      size_t len = 1;
-                      while (p + len < items &&
-                             len < JoinHashTable::kProbeBatchMax &&
-                             lane[p + len].aux == m.aux) {
-                        ++len;
-                      }
-                      const size_t ji = static_cast<size_t>(m.aux);
-                      HandleProbeBatch(n, ji, &lane[p], len);
-                      if (residual[ji] != 0) {
-                        for (size_t k = 0; k < len; ++k) {
-                          SpoolToOverflow(
-                              n, ji, /*is_inner=*/false,
-                              storage::Tuple(lane[p + k].data,
-                                             lane[p + k].size));
-                        }
-                      }
-                      p += len;
+      fallback_status.Update(run_scan_round(false, kProbe));
+      fallback_status.Update(machine_->TryRunOnNodes(
+          Participants(false), [&](sim::Node& n) -> Status {
+            exchange_.DrainInboxBlocks(
+                n.id(), [&](std::vector<RoutedTuple>& lane) {
+                  const size_t items = lane.size();
+                  for (size_t p = 0; p < items;) {
+                    const RoutedTuple& m = lane[p];
+                    size_t len = 1;
+                    while (p + len < items &&
+                           len < JoinHashTable::kProbeBatchMax &&
+                           lane[p + len].aux == m.aux) {
+                      ++len;
                     }
-                  });
-              return Status::OK();
-            });
-        if (fallback_status.ok()) fallback_status = round;
-      }
-      {
-        const Status round = machine_->TryRunOnNodes(
-            config_.disk_nodes, [&](sim::Node& n) -> Status {
-              return DrainDiskSide(n, nullptr);
-            });
-        if (fallback_status.ok()) fallback_status = round;
-      }
-      {
-        const Status end = machine_->EndPhase();
-        if (fallback_status.ok()) fallback_status = end;
-      }
-    }
-
-    // Free the consumed pass's files on failure too: a restarted
-    // attempt rebuilds its overflow partitions from scratch.
-    for (Taken& t : taken) {
-      if (t.r != nullptr) t.r->Free();
-      if (t.s != nullptr) t.s->Free();
+                    const size_t ji = static_cast<size_t>(m.aux);
+                    HandleProbeBatch(n, ji, &lane[p], len);
+                    if (residual[ji] != 0) {
+                      for (size_t k = 0; k < len; ++k) {
+                        SpoolToOverflow(n, ji, /*is_inner=*/false,
+                                        storage::Tuple(lane[p + k].data,
+                                                       lane[p + k].size));
+                      }
+                    }
+                    p += len;
+                  }
+                });
+            return Status::OK();
+          }));
+      fallback_status.Update(DrainDiskSides(nullptr));
+      fallback_status.Update(machine_->EndPhase());
     }
     GAMMA_RETURN_IF_ERROR(fallback_status);
   }
@@ -1066,17 +835,11 @@ Status HashJoinEngine::RunSubJoin(const std::string& label,
 std::vector<Producer> HashJoinEngine::BucketProducers(BucketFileSet* files,
                                                       int bucket) {
   std::vector<Producer> producers;
-  producers.reserve(config_.disk_nodes.size());
-  for (size_t di = 0; di < config_.disk_nodes.size(); ++di) {
+  producers.reserve(disks_.size());
+  for (size_t di = 0; di < disks_.size(); ++di) {
     producers.push_back(Producer{
-        [this, files, bucket, di](sim::Node& n,
-                                  const BlockYield& yield) -> Status {
-          storage::HeapFile& file = files->file(bucket, di);
-          exchange_.ReserveRow(n.id(), file.tuple_count());
-          auto scanner = file.Scan();
-          storage::TupleBlock block;
-          while (scanner.NextBlock(&block)) yield(block);
-          return scanner.status();
+        [this, files, bucket, di](sim::Node& n, const BlockYield& yield) {
+          return ScanBlocks(n, files->file(bucket, di), exchange_, yield);
         },
         nullptr});
   }
@@ -1085,21 +848,16 @@ std::vector<Producer> HashJoinEngine::BucketProducers(BucketFileSet* files,
 
 std::vector<Producer> HashJoinEngine::RelationProducers(
     const db::StoredRelation* relation, const db::PredicateList* predicate) {
-  GAMMA_CHECK_EQ(relation->num_fragments(), config_.disk_nodes.size());
+  GAMMA_CHECK_EQ(relation->num_fragments(), disks_.size());
   std::vector<Producer> producers;
-  producers.reserve(config_.disk_nodes.size());
-  for (size_t di = 0; di < config_.disk_nodes.size(); ++di) {
+  producers.reserve(disks_.size());
+  for (size_t di = 0; di < disks_.size(); ++di) {
     // The predicate rides on the Producer; RouteBlock evaluates and
     // charges it per tuple between the read and route charges, exactly
     // where the scalar producer loop charged it.
     producers.push_back(Producer{
-        [this, relation, di](sim::Node& n,
-                             const BlockYield& yield) -> Status {
-          exchange_.ReserveRow(n.id(), relation->fragment(di).tuple_count());
-          auto scanner = relation->fragment(di).Scan();
-          storage::TupleBlock block;
-          while (scanner.NextBlock(&block)) yield(block);
-          return scanner.status();
+        [this, relation, di](sim::Node& n, const BlockYield& yield) {
+          return ScanBlocks(n, relation->fragment(di), exchange_, yield);
         },
         predicate});
   }
@@ -1108,12 +866,12 @@ std::vector<Producer> HashJoinEngine::RelationProducers(
 
 Status HashJoinEngine::FinalizeResult() {
   machine_->BeginPhase("store flush");
-  Status flush_status = machine_->TryRunOnNodes(
-      config_.disk_nodes, [this](sim::Node& n) -> Status {
-        return config_.result->fragment(DiskIndexOf(n.id())).FlushAppends();
+  Status flush_status =
+      machine_->TryRunOnNodes(disks_, [this](sim::Node& n) -> Status {
+        return config_.result->fragment(machine_->DiskIndexOf(n.id()))
+            .FlushAppends();
       });
-  const Status end = machine_->EndPhase();
-  if (flush_status.ok()) flush_status = end;
+  flush_status.Update(machine_->EndPhase());
   return flush_status;
 }
 

@@ -30,7 +30,6 @@
 #ifndef GAMMA_JOIN_HASH_ENGINE_H_
 #define GAMMA_JOIN_HASH_ENGINE_H_
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -43,6 +42,7 @@
 #include "gamma/rebalance.h"
 #include "gamma/split_table.h"
 #include "join/hash_table.h"
+#include "join/repartition.h"
 #include "join/spec.h"
 #include "sim/exchange.h"
 #include "sim/machine.h"
@@ -75,10 +75,10 @@ struct Producer {
 /// available disk drives").
 class BucketFileSet {
  public:
-  /// Buckets are numbered 1..num_buckets (matching split-table tags).
-  BucketFileSet(sim::Machine* machine, const std::vector<int>& disk_nodes,
-                const storage::Schema* schema, int num_buckets,
-                const std::string& label);
+  /// Buckets are numbered 1..num_buckets (matching split-table tags);
+  /// fragment d of each bucket lives on the machine's d-th disk node.
+  BucketFileSet(sim::Machine* machine, const storage::Schema* schema,
+                int num_buckets, const std::string& label);
   /// Frees any remaining bucket pages (abandoned mid-join by a fault).
   ~BucketFileSet();
 
@@ -109,7 +109,6 @@ class HashJoinEngine {
  public:
   struct Config {
     std::vector<int> join_nodes;  // node ids executing the join
-    std::vector<int> disk_nodes;  // node ids with disks (producers/hosts)
     const storage::Schema* inner_schema;
     const storage::Schema* outer_schema;
     int inner_field;
@@ -132,12 +131,13 @@ class HashJoinEngine {
     /// Optional per-node build-memory broker (sim/memory_broker.h).
     /// When set, hash-table admission draws on the owning node's shared
     /// budget (instead of a private per-process ledger) and overflow
-    /// spill/refill bytes are recorded on it.
+    /// spill/refill bytes are recorded on it — each on the node whose
+    /// task spools or re-reads the bytes.
     sim::MemoryBroker* broker = nullptr;
-    db::StoredRelation* result;  // fragments parallel to disk_nodes
+    db::StoredRelation* result;  // fragments parallel to the disk nodes
     JoinStats* stats;
-    /// Result capture (docs/testing.md): when non-null (parallel to
-    /// disk_nodes), every result record appended to fragment i is also
+    /// Result capture (docs/testing.md): when non-null (parallel to the
+    /// disk nodes), every result record appended to fragment i is also
     /// streamed into (*capture)[i] — one accumulator per disk node, so
     /// the concurrent store tasks never share one. Adds no simulated
     /// charge anywhere.
@@ -220,30 +220,14 @@ class HashJoinEngine {
     size_t store_rr_next = 0;  // round-robin cursor for result routing
   };
 
-  /// A routed tuple is a VIEW, not a copy: `data` points at stable
-  /// serialized bytes — a simulated disk page (scans; pages are
-  /// individually heap-allocated and only freed after the phase that
-  /// routed them fully drains) or a rebalance holding area that outlives
-  /// both migration rounds. Shipping 24-byte views instead of owned
-  /// tuples is what makes the block exchange fast: lane traffic shrinks
-  /// ~9x for Wisconsin tuples and the payload bytes are copied exactly
-  /// once, at the consumer that stores them. Network accounting still
-  /// charges the full serialized `size` per tuple, so the simulated
-  /// metrics are unchanged.
-  struct RoutedTuple {
-    const uint8_t* data;
-    uint32_t size;
-    uint64_t hash;
-    uint8_t kind;  // RoutedKind
-    int32_t aux;   // join index (build/probe) or bucket number
-  };
-
   struct OverflowMsg {
     storage::Tuple tuple;
     int32_t join_index;
     bool is_inner;
   };
 
+  /// RoutedTuple::kind; aux is the join process index (build, probe,
+  /// migrate) or the bucket number (bucket entries).
   enum RoutedKind : uint8_t {
     kBuild,
     kProbe,
@@ -252,39 +236,27 @@ class HashJoinEngine {
     kMigrate,  // rebalance: resident moving to its override destination
   };
 
-  size_t DiskIndexOf(int node_id) const;
   std::vector<int> Participants(bool with_disk_nodes) const;
 
-  /// Per-producer scratch for RouteBlock (fixed block-sized arrays plus
-  /// per-destination counters). One instance per producer invocation so
-  /// concurrent producer tasks never share it, and the per-block path
-  /// does no allocation.
-  struct RouteScratch {
-    explicit RouteScratch(size_t num_nodes)
-        : dest_counts(num_nodes, 0), dest_starts(num_nodes, 0) {}
-    std::array<int32_t, storage::TupleBlock::kCapacity> keys;
-    std::array<uint64_t, storage::TupleBlock::kCapacity> hashes;
-    std::array<uint32_t, storage::TupleBlock::kCapacity> route;
-    std::array<bool, storage::TupleBlock::kCapacity> pred_ok;
-    // Survivors that leave through exchange_, fully staged in scan
-    // order; pass 3 scatters them per destination by index.
-    std::array<RoutedTuple, storage::TupleBlock::kCapacity> staged;
-    std::array<int32_t, storage::TupleBlock::kCapacity> send_dest;
-    std::array<uint32_t, storage::TupleBlock::kCapacity> send_order;
-    std::vector<uint32_t> dest_counts;
-    std::vector<uint32_t> dest_starts;
+  /// The overflow files of one resolution level or fallback pass, moved
+  /// out of the join-process state (which then collects the next
+  /// level's spills). Frees the files on scope exit, on failure too: a
+  /// restarted attempt rebuilds its overflow partitions from scratch.
+  struct Taken {
+    explicit Taken(std::vector<JoinNodeState>& jstate);
+    ~Taken();
+    Taken(const Taken&) = delete;
+    Taken& operator=(const Taken&) = delete;
+    std::vector<std::unique_ptr<storage::HeapFile>> r, s;
   };
 
-  /// Routes one scan block: pass 1 batch-computes keys, predicate
-  /// verdicts, hashes and split-table indices (uncharged); pass 2
-  /// replays the scalar per-tuple charge chain and routing decisions in
-  /// scan order, staging a RoutedTuple view per survivor; pass 3
-  /// counting-sorts the staged views by destination and appends each
-  /// destination's run with one SendBatch — no payload bytes move until
-  /// a consumer stores them.
-  void RouteBlock(sim::Node& n, const db::SplitTable& table, uint64_t seed,
-                  Side side, const storage::TupleBlock& block,
-                  const db::PredicateList* predicate, RouteScratch* scratch);
+  /// Scans one side of `taken` at disk node `n`: every file that node
+  /// hosts, in join-process order, flushing its tail and booking the
+  /// refill first; calls `yield(ji, block)` for each scan block.
+  Status ScanTaken(
+      sim::Node& n, const Taken& taken, bool inner_side,
+      const std::function<void(size_t, const storage::TupleBlock&)>& yield);
+
   void HandleBuildArrival(sim::Node& n, size_t ji, uint64_t hash,
                           storage::Tuple&& t);
   /// Probes a run of same-process kProbe arrivals through
@@ -294,7 +266,10 @@ class HashJoinEngine {
   void SpoolToOverflow(sim::Node& from, size_t ji, bool is_inner,
                        storage::Tuple&& t);
   void EnsureOverflowFile(size_t ji, bool is_inner);
-  Status DrainDiskSide(sim::Node& n, BucketFileSet* buckets);
+  /// The disk-side round of a phase: every disk node absorbs its
+  /// overflow spool and result store, then flushes its `buckets`
+  /// fragments (when given).
+  Status DrainDiskSides(BucketFileSet* buckets);
   /// Terminal overflow resolution when recursion cannot help
   /// (docs/overflow.md): repeatedly FIFO-fills the resident tables from
   /// the remaining R overflow files (no cutoff, no eviction), probes the
@@ -309,6 +284,7 @@ class HashJoinEngine {
 
   sim::Machine* machine_;
   Config config_;
+  const std::vector<int> disks_;  // the machine's disk nodes (producers)
   sim::Exchange<RoutedTuple> exchange_;
   sim::Exchange<OverflowMsg> overflow_exchange_;
   sim::Exchange<storage::Tuple> store_exchange_;
@@ -318,13 +294,9 @@ class HashJoinEngine {
   std::unique_ptr<db::BitFilterSet> forming_filter_;
   int overflow_file_counter_ = 0;
 
-  // Adaptive repartitioning state, reset per sub-join.
+  // Adaptive repartitioning plan (with its probe cursors), reset per
+  // sub-join.
   db::RebalancePlan rebalance_plan_;
-  /// Per-producer, per-bin round-robin cursors spreading a replicated
-  /// bin's probe tuples over its destinations. Each producer owns its
-  /// row (no races) and the cursors are seeded with the producer index,
-  /// so routing is identical at any thread count.
-  std::vector<std::vector<uint32_t>> rebalance_rr_;
   /// Build-side finalization (bit filter, chain stats) postponed from
   /// PartitionPhase to MaybeRebalance so the filter reflects residency
   /// after any migration.

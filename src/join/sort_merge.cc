@@ -1,7 +1,6 @@
 #include "join/sort_merge.h"
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "gamma/rebalance.h"
 #include "gamma/scheduler.h"
 #include "gamma/split_table.h"
+#include "join/repartition.h"
 #include "sim/exchange.h"
 #include "storage/external_sort.h"
 #include "storage/heap_file.h"
@@ -20,18 +20,19 @@ namespace gammadb::join {
 
 namespace {
 
-struct HashedTuple {
-  storage::Tuple tuple;
-  uint64_t hash;
+/// One relation's working files at one disk site: the redistributed
+/// temporary file (R' or S') and, once it is sorted, its sort.
+struct SideFiles {
+  std::unique_ptr<storage::HeapFile> temp;
+  std::unique_ptr<storage::ExternalSort> sort;
 };
 
 /// One disk node's sort-merge working state.
 struct SiteState {
-  std::unique_ptr<storage::HeapFile> r_temp;
-  std::unique_ptr<storage::HeapFile> s_temp;
-  std::unique_ptr<storage::ExternalSort> r_sort;
-  std::unique_ptr<storage::ExternalSort> s_sort;
+  SideFiles r, s;
   size_t store_rr_next = 0;
+
+  SideFiles& side(bool inner) { return inner ? r : s; }
 };
 
 /// Streams two sorted inputs and joins them. Duplicate inner keys are
@@ -105,14 +106,14 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   std::vector<SiteState> sites(d);
   for (size_t di = 0; di < d; ++di) {
     sim::Node& node = machine.node(disks[di]);
-    sites[di].r_temp = std::make_unique<storage::HeapFile>(
+    sites[di].r.temp = std::make_unique<storage::HeapFile>(
         &node, &r_schema, "smR." + std::to_string(di));
-    sites[di].s_temp = std::make_unique<storage::HeapFile>(
+    sites[di].s.temp = std::make_unique<storage::HeapFile>(
         &node, &s_schema, "smS." + std::to_string(di));
     sites[di].store_rr_next = di;
   }
 
-  sim::Exchange<HashedTuple> exchange(&machine);
+  sim::Exchange<RoutedTuple> exchange(&machine);
   sim::Exchange<storage::Tuple> store_exchange(&machine);
   std::unique_ptr<db::BitFilterSet> filter;
   if (params.use_bit_filters) {
@@ -126,317 +127,225 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   const bool adaptive = params.rebalance.enabled && d >= 2;
   std::vector<HashHistogram> site_hist(adaptive ? d : 0);
   db::RebalancePlan plan;
-  // Per-producer, per-bin round-robin cursors for replicated bins,
-  // seeded with the producer index (deterministic at any thread count).
-  std::vector<std::vector<uint32_t>> plan_rr;
 
-  const auto partition_phase = [&](const char* label,
-                                   const db::StoredRelation* rel,
-                                   const db::PredicateList* predicate,
-                                   int field, bool is_inner,
-                                   std::vector<SiteState>& state) -> Status {
+  // A receiving site's drain: stores every arrival in `file`, setting the
+  // site's bit-filter slice for inner-relation tuples (the slices are
+  // per-site, so the bits must live where the probes will arrive) and,
+  // with `histogram`, counting them in the site's R' histogram.
+  const auto absorb = [&](sim::Node& n, storage::HeapFile& file, bool inner,
+                          bool histogram) -> Status {
+    const size_t di = machine.DiskIndexOf(n.id());
+    Status st;
+    exchange.DrainInboxBlocks(n.id(), [&](std::vector<RoutedTuple>& lane) {
+      for (const RoutedTuple& m : lane) {
+        if (inner && filter != nullptr) {
+          n.ChargeCpu(n.cost().cpu_filter_op_seconds,
+                      sim::CostCategory::kFilterOp);
+          filter->Set(static_cast<int>(di), m.hash);
+        }
+        if (histogram) site_hist[di].Add(m.hash);
+        st.Update(file.AppendRecord(m.data));
+      }
+    });
+    st.Update(file.FlushAppends());
+    return st;
+  };
+
+  // Redistributes one relation into the per-site temporary files
+  // through the shared RouteBlock. For a joining table the entry index
+  // IS the site index; sort-merge's part of the charge chain is the
+  // outer side's rebalance override and bit filter — the assembled
+  // filter is applied by the producers of the outer relation, so
+  // eliminated tuples are never transmitted, stored, sorted or merged.
+  // Both rounds always run in full (the exchange must be drained at
+  // the phase barrier even when a node failed); only the first error is
+  // kept.
+  const auto partition_phase = [&](const char* label, bool inner) -> Status {
+    const db::StoredRelation* rel = inner ? params.inner : params.outer;
+    const RouteSource source{
+        &rel->schema(), inner ? params.inner_field : params.outer_field,
+        params.hash_seed, &joining,
+        inner ? params.inner_predicate : params.outer_predicate};
     machine.BeginPhase(label);
     db::ChargeOperatorPhase(machine, static_cast<int>(d), static_cast<int>(d),
                             joining.SerializedBytes());
-    // Both rounds always run in full — the exchange must be drained at
-    // the phase barrier even when a node failed — and only the first
-    // error is kept.
-    Status phase_status;
-    // Producers: scan local fragments block-wise and route by
-    // join-attribute hash. Same three-pass structure as
-    // HashJoinEngine::RouteBlock — pass 1 batch-computes keys,
-    // predicate verdicts, hashes and route indices (uncharged); pass 2
-    // replays the scalar per-tuple charge chain in scan order; pass 3
-    // counting-sorts the survivors by destination and appends each
-    // site's run with one SendBatch, copying each tuple once from the
-    // page image into its lane slot.
-    {
-      const Status round = machine.TryRunOnNodes(
-          disks, [&](sim::Node& n) -> Status {
-            size_t di = 0;
-            for (size_t i = 0; i < d; ++i) {
-              if (disks[i] == n.id()) di = i;
-            }
-            exchange.ReserveRow(n.id(), rel->fragment(di).tuple_count());
-            auto scanner = rel->fragment(di).Scan();
-            const bool has_predicate =
-                predicate != nullptr && !predicate->empty();
-            const storage::Schema& schema = rel->schema();
-            storage::TupleBlock block;
-            std::array<int32_t, storage::TupleBlock::kCapacity> keys;
-            std::array<uint64_t, storage::TupleBlock::kCapacity> hashes;
-            std::array<uint32_t, storage::TupleBlock::kCapacity> route;
-            std::array<bool, storage::TupleBlock::kCapacity> pred_ok;
-            std::array<uint32_t, storage::TupleBlock::kCapacity> send_idx;
-            std::array<uint32_t, storage::TupleBlock::kCapacity> send_site;
-            std::array<uint32_t, storage::TupleBlock::kCapacity> send_order;
-            std::vector<uint32_t> site_counts(d);
-            std::vector<uint32_t> site_starts(d);
-            while (scanner.NextBlock(&block)) {
-              const size_t count = block.size();
-              for (size_t i = 0; i < count; ++i) {
-                const uint8_t* data = block.view(i).data;
-                keys[i] = schema.GetInt32(data, static_cast<size_t>(field));
-                pred_ok[i] =
-                    !has_predicate || db::EvalAll(*predicate, schema, data);
-              }
-              for (size_t i = 0; i < count; ++i) {
-                hashes[i] = HashJoinAttribute(keys[i], params.hash_seed);
-              }
-              joining.RouteIndices(hashes.data(), count, route.data());
-              size_t m = 0;
-              for (size_t i = 0; i < count; ++i) {
-                n.ChargeCpu(n.cost().cpu_read_tuple_seconds,
-                            sim::CostCategory::kReadTuple);
-                if (has_predicate) {
-                  n.ChargeCpu(n.cost().cpu_predicate_seconds,
-                              sim::CostCategory::kPredicate);
-                  if (!pred_ok[i]) continue;
-                }
-                const uint64_t hash = hashes[i];
-                n.ChargeCpu(n.cost().cpu_hash_route_seconds,
-                            sim::CostCategory::kHashRoute);
-                // For a joining table the entry index IS the site index.
-                size_t site = route[i];
-                // Rebalanced routing: an overridden bin's S tuples go
-                // to its destination set — each tuple to exactly one
-                // destination via this producer's round-robin cursor.
-                if (!is_inner && plan.active) {
-                  if (const std::vector<int>* dests =
-                          plan.DestinationsFor(hash)) {
-                    uint32_t& cur = plan_rr[di][plan.BinOf(hash)];
-                    site =
-                        static_cast<size_t>((*dests)[cur++ % dests->size()]);
-                  }
-                }
-                // The assembled filter is applied by the producers of
-                // the outer relation: eliminated tuples are never
-                // transmitted, stored, sorted or merged.
-                if (!is_inner && filter != nullptr) {
-                  n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                              sim::CostCategory::kFilterOp);
-                  if (!filter->MayContain(static_cast<int>(site), hash)) {
-                    ++n.counters().filter_drops;
-                    continue;
-                  }
-                }
-                exchange.Account(n.id(), disks[site], block.view(i).size);
-                send_idx[m] = static_cast<uint32_t>(i);
-                send_site[m] = static_cast<uint32_t>(site);
-                ++m;
-              }
-              if (m == 0) continue;
-              std::fill(site_counts.begin(), site_counts.end(), 0);
-              for (size_t k = 0; k < m; ++k) ++site_counts[send_site[k]];
-              uint32_t at = 0;
-              for (size_t s = 0; s < d; ++s) {
-                site_starts[s] = at;
-                at += site_counts[s];
-              }
-              for (size_t k = 0; k < m; ++k) {
-                send_order[site_starts[send_site[k]]++] =
-                    static_cast<uint32_t>(k);
-              }
-              for (size_t s = 0; s < d; ++s) {
-                const uint32_t c = site_counts[s];
-                if (c == 0) continue;
-                const uint32_t start = site_starts[s] - c;
-                exchange.SendBatch(
-                    n.id(), disks[s], c, [&](size_t k, HashedTuple& out) {
-                      const uint32_t sk = send_order[start + k];
-                      const storage::TupleView v = block.view(send_idx[sk]);
-                      out.tuple.Assign(v.data, v.size);
-                      out.hash = hashes[send_idx[sk]];
-                    });
+    Status phase_status = machine.TryRunOnNodes(
+        disks, [&](sim::Node& n) -> Status {
+          const size_t di = machine.DiskIndexOf(n.id());
+          const auto decide = [&](const storage::TupleView&, uint64_t hash,
+                                  uint32_t index) -> Route {
+            if (inner) return Route{disks[index], 0, 0};
+            const size_t site = plan.RouteProbe(di, hash, index);
+            if (filter != nullptr) {
+              n.ChargeCpu(n.cost().cpu_filter_op_seconds,
+                          sim::CostCategory::kFilterOp);
+              if (!filter->MayContain(static_cast<int>(site), hash)) {
+                ++n.counters().filter_drops;
+                return Route::Drop();
               }
             }
-            return scanner.status();
-          });
-      if (phase_status.ok()) phase_status = round;
-    }
-    // Receivers: store into the local temporary file; the inner side
-    // also contributes its slice of the bit filter as tuples arrive.
-    {
-      const Status round = machine.TryRunOnNodes(
-          disks, [&](sim::Node& n) -> Status {
-            size_t di = 0;
-            for (size_t i = 0; i < d; ++i) {
-              if (disks[i] == n.id()) di = i;
-            }
-            storage::HeapFile* temp =
-                is_inner ? state[di].r_temp.get() : state[di].s_temp.get();
-            Status st;
-            exchange.DrainInboxBlocks(
-                n.id(), [&](std::vector<HashedTuple>& lane) {
-                  for (HashedTuple& m : lane) {
-                    if (is_inner && filter != nullptr) {
-                      n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                                  sim::CostCategory::kFilterOp);
-                      filter->Set(static_cast<int>(di), m.hash);
-                    }
-                    if (is_inner && adaptive) site_hist[di].Add(m.hash);
-                    const Status append = temp->Append(m.tuple);
-                    if (st.ok()) st = append;
-                  }
-                });
-            const Status flush = temp->FlushAppends();
-            if (st.ok()) st = flush;
-            return st;
-          });
-      if (phase_status.ok()) phase_status = round;
-    }
-    const Status end = machine.EndPhase();
-    if (phase_status.ok()) phase_status = end;
+            return Route{disks[site], 0, 0};
+          };
+          RouteScratch scratch(static_cast<size_t>(machine.num_nodes()));
+          return ScanBlocks(n, rel->fragment(di), exchange,
+                            [&](const storage::TupleBlock& block) {
+                              RouteBlock(n, source, block, exchange, &scratch,
+                                         decide);
+                            });
+        });
+    // Receivers store into the local temporary file.
+    phase_status.Update(machine.TryRunOnNodes(
+        disks, [&](sim::Node& n) -> Status {
+          return absorb(n, *sites[machine.DiskIndexOf(n.id())].side(inner).temp,
+                        inner, inner && adaptive);
+        }));
+    phase_status.Update(machine.EndPhase());
     return phase_status;
   };
 
-  // All join work runs inside `run` so a faulted attempt can release
-  // the per-site temporaries before returning (sorts free their runs
-  // via the ExternalSort destructor).
-  const auto run = [&]() -> Status {
-    // Phase 1: redistribute R into per-site temporary files.
-    GAMMA_RETURN_IF_ERROR(partition_phase("sm partition R", params.inner,
-                                        params.inner_predicate,
-                                        params.inner_field,
-                                        /*is_inner=*/true, sites));
+  // Sorts every site's temporary file of one relation in parallel,
+  // freeing the file once the sort has consumed it.
+  const auto sort_phase = [&](const char* label, bool inner) -> Status {
+    machine.BeginPhase(label);
+    db::ChargeOperatorPhase(machine, static_cast<int>(d), 0, 0);
+    Status sort_status = machine.TryRunOnNodes(
+        disks, [&](sim::Node& n) -> Status {
+          SideFiles& side = sites[machine.DiskIndexOf(n.id())].side(inner);
+          side.sort = std::make_unique<storage::ExternalSort>(
+              &n, inner ? &r_schema : &s_schema,
+              inner ? params.inner_field : params.outer_field,
+              sort_pages_per_node);
+          GAMMA_RETURN_IF_ERROR(side.sort->AddFile(*side.temp));
+          side.temp->Free();
+          return side.sort->FinishInput();
+        });
+    sort_status.Update(machine.EndPhase());
+    return sort_status;
+  };
 
-    // Phase 1b (adaptive, docs/skew.md): gather the sites' R'
-    // histograms; if heavy bins make a rebalance worthwhile, rewrite R'
-    // with the overridden bins migrated (replicas get a full copy) so
-    // the heavy keys' merge work spreads over their destination sites.
-    // S has not been read yet, so its producers route straight to the
-    // new homes. Sort-merge has no hash-table byte budget, hence the
-    // unbounded capacity.
-    if (adaptive) {
-      machine.BeginPhase("sm rebalance R");
-      std::vector<std::vector<uint64_t>> counts(d);
-      machine.RunOnNodes(disks, [&](sim::Node& n) {
-        size_t di = 0;
-        for (size_t i = 0; i < d; ++i) {
-          if (disks[i] == n.id()) di = i;
-        }
-        const HashHistogram& h = site_hist[di];
-        counts[di].resize(h.num_bins());
-        for (uint32_t b = 0; b < h.num_bins(); ++b) {
-          counts[di][b] = h.bin_count(b);
-        }
-        n.ChargeCpu(
-            static_cast<double>(h.num_bins()) * n.cost().cpu_compare_seconds,
-            sim::CostCategory::kCompare);
-      });
-      plan = db::ComputeRebalancePlan(counts, r_schema.tuple_bytes(),
-                                      UINT64_MAX, params.rebalance);
-      db::ChargeRebalance(machine, static_cast<int>(d), static_cast<int>(d),
-                          plan.SerializedBytes());
-      Status reb_status;
-      if (plan.active) {
-        ++machine.node(disks[0]).counters().rebalance_plans;
-        plan_rr.resize(d);
-        for (size_t di = 0; di < d; ++di) {
-          plan_rr[di].assign(plan.num_bins, static_cast<uint32_t>(di));
-        }
-        // Round A: every site rewrites its R' — overridden bins ship a
-        // copy to each destination, the rest land in the replacement
-        // file. An honest full read + rewrite of R', charged as such.
-        std::vector<std::unique_ptr<storage::HeapFile>> keep(d);
-        for (size_t di = 0; di < d; ++di) {
-          keep[di] = std::make_unique<storage::HeapFile>(
-              &machine.node(disks[di]), &r_schema,
-              "smR.reb." + std::to_string(di));
-        }
-        reb_status = machine.TryRunOnNodes(disks, [&](sim::Node& n) -> Status {
-          size_t di = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (disks[i] == n.id()) di = i;
-          }
-          auto scanner = sites[di].r_temp->Scan();
-          storage::Tuple t;
-          Status st;
-          while (scanner.Next(&t)) {
-            const int32_t key = t.GetInt32(
-                r_schema, static_cast<size_t>(params.inner_field));
-            const uint64_t hash = HashJoinAttribute(key, params.hash_seed);
+  // Phase 1b (adaptive, docs/skew.md): gather the sites' R' histograms;
+  // if heavy bins make a rebalance worthwhile, rewrite R' with the
+  // overridden bins migrated (replicas get a full copy) so the heavy
+  // keys' merge work spreads over their destination sites. S has not
+  // been read yet, so its producers route straight to the new homes.
+  // Sort-merge has no hash-table byte budget, hence the unbounded
+  // capacity.
+  const auto rebalance_phase = [&]() -> Status {
+    machine.BeginPhase("sm rebalance R");
+    plan = db::ComputeRebalancePlan(
+        db::GatherBinCounts(machine, disks,
+                            [&](size_t di) -> const HashHistogram& {
+                              return site_hist[di];
+                            }),
+        r_schema.tuple_bytes(), UINT64_MAX, params.rebalance);
+    db::ChargeRebalance(machine, static_cast<int>(d), static_cast<int>(d),
+                        plan.SerializedBytes());
+    Status reb_status;
+    if (plan.active) {
+      ++machine.node(disks[0]).counters().rebalance_plans;
+      plan.Install(d);
+      // Round A: every site rewrites its R' — overridden bins ship a
+      // view to each destination, the rest land in the replacement
+      // file. An honest full read + rewrite of R', charged as such. The
+      // views stay valid until the old R' is freed after round B.
+      std::vector<std::unique_ptr<storage::HeapFile>> keep(d);
+      for (size_t di = 0; di < d; ++di) {
+        keep[di] = std::make_unique<storage::HeapFile>(
+            &machine.node(disks[di]), &r_schema,
+            "smR.reb." + std::to_string(di));
+      }
+      reb_status = machine.TryRunOnNodes(disks, [&](sim::Node& n) -> Status {
+        const size_t di = machine.DiskIndexOf(n.id());
+        auto scanner = sites[di].r.temp->Scan();
+        storage::TupleBlock block;
+        Status st;
+        while (scanner.NextBlock(&block)) {
+          for (size_t i = 0; i < block.size(); ++i) {
+            const storage::TupleView& v = block.view(i);
+            n.ChargeCpu(n.cost().cpu_read_tuple_seconds,
+                        sim::CostCategory::kReadTuple);
+            const uint64_t hash = HashJoinAttribute(
+                r_schema.GetInt32(v.data,
+                                  static_cast<size_t>(params.inner_field)),
+                params.hash_seed);
             n.ChargeCpu(n.cost().cpu_hash_route_seconds,
                         sim::CostCategory::kHashRoute);
             if (const std::vector<int>* dests = plan.DestinationsFor(hash)) {
               ++n.counters().rebalance_moved_tuples;
               n.counters().rebalance_replica_tuples +=
                   static_cast<int64_t>(dests->size()) - 1;
-              for (size_t k = 0; k < dests->size(); ++k) {
-                storage::Tuple copy = (k + 1 == dests->size())
-                                          ? std::move(t)
-                                          : storage::Tuple(t);
-                const uint32_t bytes = copy.size();
-                exchange.Send(
-                    n.id(), disks[static_cast<size_t>((*dests)[k])],
-                    HashedTuple{std::move(copy), hash}, bytes);
+              for (int dest : *dests) {
+                exchange.Send(n.id(), disks[static_cast<size_t>(dest)],
+                              RoutedTuple{v.data, v.size, hash, 0, 0},
+                              v.size);
               }
             } else {
-              const Status append = keep[di]->Append(t);
-              if (st.ok()) st = append;
+              st.Update(keep[di]->AppendRecord(v.data));
             }
           }
-          if (st.ok()) st = scanner.status();
-          return st;
-        });
-        // Round B: destinations absorb the migrated tuples, setting
-        // their filter slice — the slices are per-site, so the bits
-        // must live where the probes will now arrive.
-        {
-          const Status round =
-              machine.TryRunOnNodes(disks, [&](sim::Node& n) -> Status {
-                size_t di = 0;
-                for (size_t i = 0; i < d; ++i) {
-                  if (disks[i] == n.id()) di = i;
-                }
-                Status st;
-                for (HashedTuple& m : exchange.TakeInbox(n.id())) {
-                  if (filter != nullptr) {
-                    n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                                sim::CostCategory::kFilterOp);
-                    filter->Set(static_cast<int>(di), m.hash);
-                  }
-                  const Status append = keep[di]->Append(m.tuple);
-                  if (st.ok()) st = append;
-                }
-                const Status flush = keep[di]->FlushAppends();
-                if (st.ok()) st = flush;
-                return st;
-              });
-          if (reb_status.ok()) reb_status = round;
         }
-        // The rebalanced R' replaces the static one (unconditionally,
-        // so a faulted attempt's cleanup frees the right files).
-        for (size_t di = 0; di < d; ++di) {
-          sites[di].r_temp->Free();
-          sites[di].r_temp = std::move(keep[di]);
-        }
+        st.Update(scanner.status());
+        return st;
+      });
+      // Round B: destinations absorb the migrated tuples, setting their
+      // filter slice where the probes will now arrive.
+      reb_status.Update(machine.TryRunOnNodes(
+          disks, [&](sim::Node& n) -> Status {
+            return absorb(n, *keep[machine.DiskIndexOf(n.id())],
+                          /*inner=*/true, /*histogram=*/false);
+          }));
+      // The rebalanced R' replaces the static one (unconditionally, so
+      // a faulted attempt's cleanup frees the right files).
+      for (size_t di = 0; di < d; ++di) {
+        sites[di].r.temp->Free();
+        sites[di].r.temp = std::move(keep[di]);
       }
-      const Status end = machine.EndPhase();
-      if (reb_status.ok()) reb_status = end;
-      GAMMA_RETURN_IF_ERROR(reb_status);
     }
+    reb_status.Update(machine.EndPhase());
+    return reb_status;
+  };
 
-    // Phase 2: sort the local R' files in parallel.
-    machine.BeginPhase("sm sort R");
-    db::ChargeOperatorPhase(machine, static_cast<int>(d), 0, 0);
-    Status sort_status = machine.TryRunOnNodes(
+  // Phase 5: parallel local merge join; results round-robin to the
+  // store operators.
+  const auto merge_phase = [&]() -> Status {
+    machine.BeginPhase("sm merge join");
+    db::ChargeOperatorPhase(machine, static_cast<int>(d), static_cast<int>(d),
+                            0);
+    Status merge_status = machine.TryRunOnNodes(
         disks, [&](sim::Node& n) -> Status {
-          size_t di = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (disks[i] == n.id()) di = i;
-          }
-          sites[di].r_sort = std::make_unique<storage::ExternalSort>(
-              &n, &r_schema, params.inner_field, sort_pages_per_node);
-          GAMMA_RETURN_IF_ERROR(sites[di].r_sort->AddFile(*sites[di].r_temp));
-          sites[di].r_temp->Free();
-          return sites[di].r_sort->FinishInput();
+          SiteState& site = sites[machine.DiskIndexOf(n.id())];
+          auto r_stream = site.r.sort->OpenStream();
+          auto s_stream = site.s.sort->OpenStream();
+          MergeJoinStreams(
+              n, r_stream.get(), s_stream.get(), r_schema, params.inner_field,
+              s_schema, params.outer_field,
+              [&](const storage::Tuple& r, const storage::Tuple& s) {
+                EmitResult(n, storage::Tuple::Concat(r, s),
+                           &site.store_rr_next, disks, store_exchange);
+              });
+          GAMMA_RETURN_IF_ERROR(r_stream->status());
+          return s_stream->status();
         });
-    {
-      const Status end = machine.EndPhase();
-      if (sort_status.ok()) sort_status = end;
-      GAMMA_RETURN_IF_ERROR(sort_status);
-    }
+    merge_status.Update(machine.TryRunOnNodes(
+        disks, [&](sim::Node& n) -> Status {
+          const size_t di = machine.DiskIndexOf(n.id());
+          Status st = StoreResults(n, di, store_exchange, params.result,
+                                   r_schema, params.inner_field,
+                                   params.capture);
+          st.Update(params.result->fragment(di).FlushAppends());
+          return st;
+        }));
+    merge_status.Update(machine.EndPhase());
+    return merge_status;
+  };
+
+  // All join work runs inside `run` so a faulted attempt can release
+  // the per-site temporaries before returning (sorts free their runs
+  // via the ExternalSort destructor).
+  const auto run = [&]() -> Status {
+    GAMMA_RETURN_IF_ERROR(partition_phase("sm partition R", /*inner=*/true));
+    if (adaptive) GAMMA_RETURN_IF_ERROR(rebalance_phase());
+    GAMMA_RETURN_IF_ERROR(sort_phase("sm sort R", /*inner=*/true));
     if (filter != nullptr) {
       // Ship the assembled filter packet to the producing sites before S
       // is read.
@@ -445,99 +354,15 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
                                    static_cast<int>(d));
       GAMMA_RETURN_IF_ERROR(machine.EndPhase());
     }
-
-    // Phase 3: redistribute S (filtered at the producers).
-    GAMMA_RETURN_IF_ERROR(partition_phase("sm partition S", params.outer,
-                                        params.outer_predicate,
-                                        params.outer_field,
-                                        /*is_inner=*/false, sites));
-
-    // Phase 4: sort the local S' files in parallel.
-    machine.BeginPhase("sm sort S");
-    db::ChargeOperatorPhase(machine, static_cast<int>(d), 0, 0);
-    sort_status = machine.TryRunOnNodes(
-        disks, [&](sim::Node& n) -> Status {
-          size_t di = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (disks[i] == n.id()) di = i;
-          }
-          sites[di].s_sort = std::make_unique<storage::ExternalSort>(
-              &n, &s_schema, params.outer_field, sort_pages_per_node);
-          GAMMA_RETURN_IF_ERROR(sites[di].s_sort->AddFile(*sites[di].s_temp));
-          sites[di].s_temp->Free();
-          return sites[di].s_sort->FinishInput();
-        });
-    {
-      const Status end = machine.EndPhase();
-      if (sort_status.ok()) sort_status = end;
-      GAMMA_RETURN_IF_ERROR(sort_status);
-    }
-
+    GAMMA_RETURN_IF_ERROR(partition_phase("sm partition S", /*inner=*/false));
+    GAMMA_RETURN_IF_ERROR(sort_phase("sm sort S", /*inner=*/false));
     for (const SiteState& site : sites) {
       stats->inner_sort_passes = std::max(stats->inner_sort_passes,
-                                          site.r_sort->intermediate_passes());
+                                          site.r.sort->intermediate_passes());
       stats->outer_sort_passes = std::max(stats->outer_sort_passes,
-                                          site.s_sort->intermediate_passes());
+                                          site.s.sort->intermediate_passes());
     }
-
-    // Phase 5: parallel local merge join; results round-robin to the
-    // store operators.
-    machine.BeginPhase("sm merge join");
-    db::ChargeOperatorPhase(machine, static_cast<int>(d), static_cast<int>(d),
-                            0);
-    Status merge_status = machine.TryRunOnNodes(
-        disks, [&](sim::Node& n) -> Status {
-          size_t di = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (disks[i] == n.id()) di = i;
-          }
-          auto r_stream = sites[di].r_sort->OpenStream();
-          auto s_stream = sites[di].s_sort->OpenStream();
-          MergeJoinStreams(
-              n, r_stream.get(), s_stream.get(), r_schema, params.inner_field,
-              s_schema, params.outer_field,
-              [&](const storage::Tuple& r, const storage::Tuple& s) {
-                n.ChargeCpu(n.cost().cpu_build_result_seconds,
-                            sim::CostCategory::kBuildResult);
-                storage::Tuple result = storage::Tuple::Concat(r, s);
-                ++n.counters().result_tuples;
-                const size_t target = sites[di].store_rr_next++ % d;
-                const uint32_t bytes = result.size();
-                store_exchange.Send(n.id(), disks[target], std::move(result),
-                                    bytes);
-              });
-          GAMMA_RETURN_IF_ERROR(r_stream->status());
-          return s_stream->status();
-        });
-    {
-      const Status round = machine.TryRunOnNodes(
-          disks, [&](sim::Node& n) -> Status {
-            size_t di = 0;
-            for (size_t i = 0; i < d; ++i) {
-              if (disks[i] == n.id()) di = i;
-            }
-            Status st;
-            store_exchange.DrainInboxBlocks(
-                n.id(), [&](std::vector<storage::Tuple>& lane) {
-                  for (storage::Tuple& t : lane) {
-                    if (params.capture != nullptr) {
-                      (*params.capture)[di].AddConcatRecord(
-                          r_schema, params.inner_field, t.data(), t.size());
-                    }
-                    const Status append =
-                        params.result->fragment(di).Append(t);
-                    if (st.ok()) st = append;
-                  }
-                });
-            const Status flush = params.result->fragment(di).FlushAppends();
-            if (st.ok()) st = flush;
-            return st;
-          });
-      if (merge_status.ok()) merge_status = round;
-    }
-    const Status end = machine.EndPhase();
-    if (merge_status.ok()) merge_status = end;
-    return merge_status;
+    return merge_phase();
   };
 
   const Status st = run();
@@ -545,8 +370,8 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     // Release the temporaries a faulted attempt abandoned (Free is
     // idempotent; the temps are normally freed right after sorting).
     for (SiteState& site : sites) {
-      site.r_temp->Free();
-      site.s_temp->Free();
+      site.r.temp->Free();
+      site.s.temp->Free();
     }
   }
   return st;

@@ -49,6 +49,12 @@ std::vector<int> Machine::DiskNodeIds() const {
   return ids;
 }
 
+size_t Machine::DiskIndexOf(int id) const {
+  GAMMA_CHECK(id >= 0 && id < config_.num_disk_nodes)
+      << "node " << id << " is not a disk node";
+  return static_cast<size_t>(id);
+}
+
 std::vector<int> Machine::DisklessNodeIds() const {
   std::vector<int> ids;
   ids.reserve(static_cast<size_t>(config_.num_diskless_nodes));

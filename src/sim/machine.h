@@ -50,6 +50,10 @@ class Machine {
   std::vector<int> DiskNodeIds() const;
   /// Ids of the diskless nodes, ascending.
   std::vector<int> DisklessNodeIds() const;
+  /// Position of disk node `id` in DiskNodeIds() — the index of its
+  /// fragment in every declustered relation, bucket or result file.
+  /// CHECK-fails on a diskless id.
+  size_t DiskIndexOf(int id) const;
 
   Network& network() { return network_; }
   const CostModel& cost() const { return config_.cost; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <sstream>
 #include <vector>
 
@@ -91,25 +90,8 @@ Status LoadFuzzRelation(db::StoredRelation* rel,
   return db::LoadRelation(rel, tuples, options);
 }
 
-/// Largest duplicate group of the inner join key. Overflow resolution
-/// re-hashes a too-big partition with changed hash functions, which can
-/// never split duplicates of one key; the nested-loop fallback
-/// (docs/overflow.md) now absorbs that case, so the generator only
-/// floors the budget at the driver's validity minimum — unless the
-/// legacy_floor compatibility flag asks for the old multiplicity floor.
-uint32_t MaxKeyMultiplicity(const std::vector<storage::Tuple>& tuples,
-                            const storage::Schema& schema) {
-  std::map<int32_t, uint32_t> counts;
-  uint32_t max_count = 0;
-  for (const storage::Tuple& t : tuples) {
-    max_count = std::max(max_count, ++counts[t.GetInt32(schema, 0)]);
-  }
-  return max_count;
-}
-
 join::JoinSpec BuildSpec(const FuzzConfig& config, const sim::Machine& machine,
-                         uint64_t inner_bytes, uint32_t inner_tuple_bytes,
-                         uint32_t inner_max_dup) {
+                         uint64_t inner_bytes, uint32_t inner_tuple_bytes) {
   join::JoinSpec spec;
   spec.inner_relation = "R";
   spec.outer_relation = "S";
@@ -126,15 +108,11 @@ join::JoinSpec BuildSpec(const FuzzConfig& config, const sim::Machine& machine,
   // here), floored so every generated plan is valid: at least one tuple
   // per join process (driver check). The overflow path is total
   // (docs/overflow.md), so budgets below the biggest duplicate group
-  // are fair game — they drive deep recursion into the nested-loop
-  // fallback and still terminate. legacy_floor restores the old
-  // multiplicity floor for before/after campaign comparisons.
-  uint64_t floor_bytes = join_procs * inner_tuple_bytes;
-  if (config.legacy_floor) {
-    floor_bytes *= std::max<uint32_t>(1, inner_max_dup);
-  }
+  // are fair game — rehashing can never split duplicates of one key, so
+  // they drive deep recursion into the nested-loop fallback and still
+  // terminate.
   spec.memory_bytes = std::max<uint64_t>(
-      floor_bytes,
+      join_procs * inner_tuple_bytes,
       inner_bytes * static_cast<uint64_t>(config.memory_pct) / 100);
   if (config.zero_slack) spec.memory_slack = 0.0;
   spec.max_overflow_levels = config.max_levels;
@@ -191,8 +169,7 @@ Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config) {
   GAMMA_RETURN_IF_ERROR(LoadFuzzRelation(outer, s_tuples, config.hpja));
 
   const join::JoinSpec spec =
-      BuildSpec(config, machine, inner->total_bytes(), r_schema.tuple_bytes(),
-                MaxKeyMultiplicity(r_tuples, r_schema));
+      BuildSpec(config, machine, inner->total_bytes(), r_schema.tuple_bytes());
 
   FuzzRunResult result;
   GAMMA_ASSIGN_OR_RETURN(result.oracle, OracleJoinDigest(catalog, spec));
@@ -277,14 +254,13 @@ std::string FuzzConfig::ToReproString() const {
   return StrFormat(
       "algo=%s threads=%d inner=%u outer=%u domain=%u theta=%.3f sel=%d "
       "mem=%d slack0=%d hpja=%d remote=%d bf=%d fbf=%d adapt=%d faults=%llu "
-      "maxlvl=%d lfloor=%d data=%llu inject=%d",
+      "maxlvl=%d data=%llu inject=%d",
       join::AlgorithmName(algorithm), threads, inner_tuples, outer_tuples,
       key_domain, zipf_theta, sel_pct, memory_pct, static_cast<int>(zero_slack),
       static_cast<int>(hpja), static_cast<int>(remote),
       static_cast<int>(bit_filters), static_cast<int>(forming_bit_filters),
       static_cast<int>(adaptive_repartition),
       static_cast<unsigned long long>(fault_seed), max_levels,
-      static_cast<int>(legacy_floor),
       static_cast<unsigned long long>(data_seed),
       static_cast<int>(inject_mismatch));
 }
@@ -356,8 +332,6 @@ Result<FuzzConfig> FuzzConfig::FromReproString(const std::string& line) {
       config.fault_seed = static_cast<uint64_t>(n);
     } else if (key == "maxlvl") {
       config.max_levels = static_cast<int>(n);
-    } else if (key == "lfloor") {
-      config.legacy_floor = n != 0;
     } else if (key == "data") {
       config.data_seed = static_cast<uint64_t>(n);
     } else if (key == "inject") {
@@ -491,8 +465,6 @@ ShrinkResult ShrinkFailure(const FuzzConfig& failing) {
     progress |= TryCandidates<int>(
         best, Before(levels, best->max_levels),
         [](FuzzConfig* c, int v) { c->max_levels = v; }, runs);
-    progress |= try_off(best->legacy_floor,
-                        [](FuzzConfig* c, int) { c->legacy_floor = false; });
     progress |= try_off(best->zero_slack,
                         [](FuzzConfig* c, int) { c->zero_slack = false; });
     progress |=

@@ -57,13 +57,6 @@ struct FuzzConfig {
   /// nested-loop fallback engages (docs/overflow.md). Small values (and
   /// 0) deliberately force the fallback.
   int max_levels = 16;
-  /// Campaign compatibility flag (tools/join_fuzz --legacy-floor): floor
-  /// the memory budget at join_procs x tuple_bytes x max duplicate
-  /// multiplicity, as the generator did before the engine could degrade
-  /// to the nested-loop fallback. Off = only the driver's validity floor
-  /// (one tuple per join process), which lets generated plans push a
-  /// whole duplicate group past the aggregate budget.
-  bool legacy_floor = false;
   /// Test hook for the shrinker itself: pretends the engine digest is
   /// wrong whenever bit_filters && inner_tuples >= 2 &&
   /// outer_tuples >= 32, so tests can assert the shrinker converges to

@@ -52,6 +52,16 @@ TEST(StatusTest, IgnoreErrorIsANoOp) {
   Status::OK().IgnoreError();
 }
 
+TEST(StatusTest, UpdateKeepsTheFirstError) {
+  Status st;
+  st.Update(Status::OK());
+  EXPECT_TRUE(st.ok());
+  st.Update(Status::Unavailable("first"));
+  st.Update(Status::Aborted("second"));
+  st.Update(Status::OK());
+  EXPECT_EQ(st, Status::Unavailable("first"));
+}
+
 TEST(StatusTest, CopyIsCheapAndEqualityHolds) {
   Status a = Status::Internal("boom");
   Status b = a;  // shared rep

@@ -6,9 +6,12 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/histogram.h"
 #include "gamma/bucket_analyzer.h"
 #include "gamma/split_table.h"
+#include "sim/machine.h"
 #include "testing/skew_util.h"
+#include "testing/status_matchers.h"
 
 namespace gammadb::db {
 namespace {
@@ -158,6 +161,69 @@ TEST(RebalancePlanTest, SerializedBytesCountsOneEntryPerDestination) {
   EXPECT_GT(entries, 0u);
   EXPECT_EQ(plan.SerializedBytes(), SplitTable::SerializedBytesFor(entries));
   EXPECT_EQ(RebalancePlan{}.SerializedBytes(), 0u);
+}
+
+TEST(RebalancePlanTest, RouteProbeSpreadsReplicatedBinsPerProducer) {
+  // Four bins (top two hash bits): bin 1 replicated over processes
+  // {1, 2, 3}, bin 3 dedicated to process 0, bins 0 and 2 static.
+  RebalancePlan plan;
+  plan.active = true;
+  plan.num_bins = 4;
+  plan.shift = 62;
+  plan.destinations = {{}, {1, 2, 3}, {}, {0}};
+  plan.Install(3);
+  const uint64_t replicated = (uint64_t{1} << 62) + 5;
+  const uint64_t dedicated = (uint64_t{3} << 62) + 5;
+  const uint64_t untouched = (uint64_t{2} << 62) + 5;
+
+  // Each producer's cursor starts at its own index and advances only
+  // with its own probes: producer 0 cycles 1, 2, 3, 1; producer 2
+  // starts at the third destination.
+  for (size_t expected : {1u, 2u, 3u, 1u}) {
+    EXPECT_EQ(plan.RouteProbe(0, replicated, 7), expected);
+  }
+  EXPECT_EQ(plan.RouteProbe(2, replicated, 7), 3u);
+  EXPECT_EQ(plan.RouteProbe(2, replicated, 7), 1u);
+  EXPECT_EQ(plan.RouteProbe(1, replicated, 7), 2u);
+
+  // A dedicated bin always goes to its one destination; a bin without
+  // an override keeps the caller's static route.
+  EXPECT_EQ(plan.RouteProbe(1, dedicated, 7), 0u);
+  EXPECT_EQ(plan.RouteProbe(0, untouched, 5), 5u);
+  EXPECT_EQ(plan.RouteProbe(0, 5, 6), 6u);  // bin 0
+
+  // An inactive plan routes everything statically.
+  plan.active = false;
+  EXPECT_EQ(plan.RouteProbe(0, replicated, 4), 4u);
+}
+
+TEST(GatherBinCountsTest, CopiesEachProcessHistogramAndChargesItsSite) {
+  sim::Machine machine(sim::MachineConfig{2, 0, sim::CostModel{}, 1});
+  // Three processes; node 0 hosts processes 0 and 2.
+  const std::vector<int> process_nodes = {0, 1, 0};
+  std::vector<HashHistogram> hists(3, HashHistogram(8));
+  for (size_t p = 0; p < hists.size(); ++p) {
+    for (uint64_t k = 0; k <= p; ++k) hists[p].Add(k << 61);
+  }
+  machine.BeginPhase("gather");
+  const std::vector<std::vector<uint64_t>> counts = GatherBinCounts(
+      machine, process_nodes,
+      [&](size_t p) -> const HashHistogram& { return hists[p]; });
+  const double node0_cpu = machine.node(0).phase_usage().cpu_seconds;
+  const double node1_cpu = machine.node(1).phase_usage().cpu_seconds;
+  GAMMA_ASSERT_OK(machine.EndPhase());
+
+  ASSERT_EQ(counts.size(), 3u);
+  for (size_t p = 0; p < counts.size(); ++p) {
+    ASSERT_EQ(counts[p].size(), 8u);
+    for (uint32_t b = 0; b < 8; ++b) {
+      EXPECT_EQ(counts[p][b], hists[p].bin_count(b)) << p << "/" << b;
+    }
+  }
+  // One compare per bin scanned, booked on the hosting node.
+  const double per_hist = 8 * machine.cost().cpu_compare_seconds;
+  EXPECT_DOUBLE_EQ(node0_cpu, 2 * per_hist);
+  EXPECT_DOUBLE_EQ(node1_cpu, per_hist);
 }
 
 /// Buckets `keys` the way a join process histogram would: top hash

@@ -77,8 +77,12 @@ MatrixRun RunOverflowMatrix(Algorithm algorithm, int threads) {
 TEST(OverflowRecursionMatrixTest, DeepRecursionIsCorrectAndDeterministic) {
   // For each hash algorithm: a config whose overflow recursion reaches
   // at least two levels must (a) produce the oracle's exact result
-  // multiset and (b) emit byte-identical metrics JSON at 1, 4 and 8
-  // executor threads (the determinism contract, DESIGN.md).
+  // multiset, (b) emit byte-identical metrics JSON at 1, 4 and 8
+  // executor threads (the determinism contract, DESIGN.md), and (c)
+  // refill exactly the bytes it spilled, with the same spill total at
+  // every thread count (probe-side producers spool on behalf of join
+  // processes on other nodes; the broker entry they book must be their
+  // own, or concurrent tasks race on one counter).
   for (Algorithm algorithm : {Algorithm::kSimpleHash, Algorithm::kGraceHash,
                               Algorithm::kHybridHash}) {
     SCOPED_TRACE(AlgorithmName(algorithm));
@@ -87,13 +91,18 @@ TEST(OverflowRecursionMatrixTest, DeepRecursionIsCorrectAndDeterministic) {
     ASSERT_TRUE(serial.output.result_digest.has_value());
     EXPECT_EQ(*serial.output.result_digest, serial.oracle);
     EXPECT_GT(serial.output.stats.spill_bytes, 0);
-    EXPECT_GT(serial.output.stats.refill_bytes, 0);
+    EXPECT_EQ(serial.output.stats.spill_bytes,
+              serial.output.stats.refill_bytes);
     for (int threads : {4, 8}) {
       SCOPED_TRACE(threads);
       const MatrixRun threaded = RunOverflowMatrix(algorithm, threads);
       EXPECT_EQ(threaded.metrics_json, serial.metrics_json);
       ASSERT_TRUE(threaded.output.result_digest.has_value());
       EXPECT_EQ(*threaded.output.result_digest, serial.oracle);
+      EXPECT_EQ(threaded.output.stats.spill_bytes,
+                serial.output.stats.spill_bytes);
+      EXPECT_EQ(threaded.output.stats.spill_bytes,
+                threaded.output.stats.refill_bytes);
     }
   }
 }

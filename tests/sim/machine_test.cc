@@ -16,6 +16,16 @@ TEST(MachineTest, NodeTopology) {
   for (int id = 8; id < 16; ++id) EXPECT_FALSE(machine.node(id).has_disk());
 }
 
+TEST(MachineTest, DiskIndexOfMapsDiskNodesAndRejectsDisklessOnes) {
+  Machine machine(MachineConfig{4, 2, CostModel{}, 1});
+  const std::vector<int> disks = machine.DiskNodeIds();
+  for (size_t i = 0; i < disks.size(); ++i) {
+    EXPECT_EQ(machine.DiskIndexOf(disks[i]), i);
+  }
+  EXPECT_DEATH(machine.DiskIndexOf(4), "not a disk node");
+  EXPECT_DEATH(machine.DiskIndexOf(-1), "not a disk node");
+}
+
 TEST(MachineTest, PhaseElapsedIsSlowestNode) {
   Machine machine(MachineConfig{3, 0, CostModel{}, 1});
   machine.BeginPhase("p");

@@ -31,7 +31,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: join_fuzz [--seed=N] [--count=N] [--repro=\"key=value ...\"]\n"
-      "                 [--deep-overflow] [--legacy-floor]\n"
+      "                 [--deep-overflow]\n"
       "                 [--inject-mismatch] [--no-shrink] [--repro-out=FILE]\n"
       "  --seed=N           base seed for the random batch (default 1)\n"
       "  --count=N          configs in the batch (default 100)\n"
@@ -39,8 +39,6 @@ int Usage() {
       "  --deep-overflow    bias the generator into starved-memory plans\n"
       "                     that force deep recursion and the nested-loop\n"
       "                     fallback (docs/overflow.md)\n"
-      "  --legacy-floor     floor memory at the biggest duplicate group\n"
-      "                     (the pre-fallback generator behaviour)\n"
       "  --inject-mismatch  arm the synthetic-mismatch test hook\n"
       "  --no-shrink        report the raw failing config without shrinking\n"
       "  --repro-out=FILE   also write the final repro line to FILE\n"
@@ -90,7 +88,6 @@ int main(int argc, char** argv) {
   bool shrink = true;
   bool verbose = false;
   bool deep_overflow = false;
-  bool legacy_floor = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -113,8 +110,6 @@ int main(int argc, char** argv) {
       inject = true;
     } else if (arg == "--deep-overflow") {
       deep_overflow = true;
-    } else if (arg == "--legacy-floor") {
-      legacy_floor = true;
     } else if (arg == "--no-shrink") {
       shrink = false;
     } else if (arg == "--verbose") {
@@ -148,17 +143,15 @@ int main(int argc, char** argv) {
     return ReportFailure(config, shrink, repro_out);
   }
 
-  std::printf("join_fuzz: seed=%llu count=%lld%s%s\n",
+  std::printf("join_fuzz: seed=%llu count=%lld%s\n",
               static_cast<unsigned long long>(seed),
               static_cast<long long>(count),
-              deep_overflow ? " deep-overflow" : "",
-              legacy_floor ? " legacy-floor" : "");
+              deep_overflow ? " deep-overflow" : "");
   for (int64_t i = 0; i < count; ++i) {
     const uint64_t config_seed = seed + static_cast<uint64_t>(i);
     FuzzConfig config = deep_overflow
                             ? RandomDeepOverflowConfig(config_seed)
                             : RandomConfig(config_seed);
-    if (legacy_floor) config.legacy_floor = true;
     if (inject) config.inject_mismatch = true;
     if (verbose) {
       std::printf("config %lld: %s\n", static_cast<long long>(i),
