@@ -110,23 +110,27 @@ JsonValue MachineConfigToJson(const sim::MachineConfig& config) {
   return out;
 }
 
-JsonValue JoinStatsToJson(const join::JoinStats& stats) {
+/// The run's "stats" object; its operation counts come from the counters.
+JsonValue JoinStatsToJson(const join::JoinOutput& output) {
+  const join::JoinStats& stats = output.stats;
+  const sim::Counters& counters = output.metrics.counters;
   JsonValue out = JsonValue::MakeObject();
   out.Set("num_buckets", stats.num_buckets);
   out.Set("overflow_levels", stats.overflow_levels);
-  out.Set("overflow_events", stats.overflow_events);
+  out.Set("overflow_events", counters.ht_overflows);
   out.Set("avg_chain_length", stats.avg_chain_length);
   out.Set("max_chain_length", stats.max_chain_length);
   out.Set("inner_sort_passes", stats.inner_sort_passes);
   out.Set("outer_sort_passes", stats.outer_sort_passes);
   out.Set("result_tuples", stats.result_tuples);
-  out.Set("filter_drops", stats.filter_drops);
+  out.Set("filter_drops", counters.filter_drops);
   // Rebalance keys appear only when a plan actually fired, so every
   // skew-free baseline document keeps its exact bytes.
-  if (stats.rebalance_plans > 0) {
-    out.Set("rebalance_plans", stats.rebalance_plans);
-    out.Set("rebalance_moved_tuples", stats.rebalance_moved_tuples);
-    out.Set("rebalance_replica_tuples", stats.rebalance_replica_tuples);
+  for (const sim::CounterField& field : sim::kCounterFields) {
+    if (field.group == sim::CounterGroup::kRebalance &&
+        counters.Engaged(field.group)) {
+      out.Set(field.name, counters.*field.member);
+    }
   }
   // Overflow-path keys likewise appear only when overflow machinery
   // actually engaged, keeping no-overflow baselines byte-identical
@@ -164,12 +168,26 @@ void RecordJoinRun(const join::JoinSpec& spec, const join::JoinOutput& output,
   run.Set("response_seconds", output.response_seconds());
   run.Set("real_seconds", real_seconds);
   run.Set("threads", State().threads);
-  run.Set("stats", JoinStatsToJson(output.stats));
+  run.Set("stats", JoinStatsToJson(output));
   run.Set("metrics",
           sim::RunMetricsToJson(output.metrics, State().attribution));
   JsonValue* runs = State().doc.Find("runs");
   GAMMA_CHECK(runs != nullptr);
   runs->Append(std::move(run));
+}
+
+/// Executes `spec`, aborting on error (benchmark context), drops its
+/// result relation and records the run with its host wall-clock time.
+join::JoinOutput ExecuteAndRecord(sim::Machine& machine, db::Catalog& catalog,
+                                  const join::JoinSpec& spec) {
+  const auto start = std::chrono::steady_clock::now();
+  auto output = join::ExecuteJoin(machine, catalog, spec);
+  const std::chrono::duration<double> real =
+      std::chrono::steady_clock::now() - start;
+  GAMMA_CHECK(output.ok()) << output.status().ToString();
+  GAMMA_CHECK_OK(catalog.Drop(spec.result_name));
+  RecordJoinRun(spec, *output, real.count());
+  return std::move(output).value();
 }
 
 void RecordWorkload(const sim::MachineConfig& machine_config,
@@ -339,14 +357,7 @@ join::JoinOutput Workload::RunCustom(
   }
   spec.result_name = "bench_result_" + std::to_string(run_counter_++);
   if (mutate) mutate(spec);
-  const auto start = std::chrono::steady_clock::now();
-  auto output = join::ExecuteJoin(*machine_, catalog_, spec);
-  const std::chrono::duration<double> real =
-      std::chrono::steady_clock::now() - start;
-  GAMMA_CHECK(output.ok()) << output.status().ToString();
-  GAMMA_CHECK_OK(catalog_.Drop(spec.result_name));
-  RecordJoinRun(spec, *output, real.count());
-  return std::move(output).value();
+  return ExecuteAndRecord(*machine_, catalog_, spec);
 }
 
 join::JoinOutput Workload::Run(join::Algorithm algorithm, double memory_ratio,
@@ -418,7 +429,8 @@ void RunFilterComparisonFigure(const std::string& title,
     CheckResultCount(filtered, ExpectedJoinABprimeResult());
     without.push_back(plain.response_seconds());
     with.push_back(filtered.response_seconds());
-    drops.push_back(static_cast<double>(filtered.stats.filter_drops));
+    drops.push_back(
+        static_cast<double>(filtered.metrics.counters.filter_drops));
   }
   PrintFigure(title, {"NoFilter", "BitFilter", "TuplesDropped"}, ratios,
               {without, with, drops});
@@ -496,14 +508,7 @@ join::JoinOutput SkewBench::Run(join::Algorithm algorithm, JoinType type,
         join::OptimizerBucketCount((*inner)->total_bytes(), memory_bytes) + 1;
   }
   spec.result_name = "skew_result_" + std::to_string(run_counter_++);
-  const auto start = std::chrono::steady_clock::now();
-  auto output = join::ExecuteJoin(*machine_, catalog_, spec);
-  const std::chrono::duration<double> real =
-      std::chrono::steady_clock::now() - start;
-  GAMMA_CHECK(output.ok()) << output.status().ToString();
-  GAMMA_CHECK_OK(catalog_.Drop(spec.result_name));
-  RecordJoinRun(spec, *output, real.count());
-  return std::move(output).value();
+  return ExecuteAndRecord(*machine_, catalog_, spec);
 }
 
 ZipfBench::ZipfBench(double theta)
@@ -546,14 +551,7 @@ join::JoinOutput ZipfBench::Run(join::Algorithm algorithm, bool adaptive,
   spec.use_bit_filters = bit_filters;
   spec.adaptive_repartition = adaptive;
   spec.result_name = "zipf_result_" + std::to_string(run_counter_++);
-  const auto start = std::chrono::steady_clock::now();
-  auto output = join::ExecuteJoin(*machine_, catalog_, spec);
-  const std::chrono::duration<double> real =
-      std::chrono::steady_clock::now() - start;
-  GAMMA_CHECK(output.ok()) << output.status().ToString();
-  GAMMA_CHECK_OK(catalog_.Drop(spec.result_name));
-  RecordJoinRun(spec, *output, real.count());
-  return std::move(output).value();
+  return ExecuteAndRecord(*machine_, catalog_, spec);
 }
 
 }  // namespace gammadb::bench

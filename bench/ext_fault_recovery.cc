@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
         GAMMA_CHECK_GT(c.packets_lost, 0);
       }
       if (s == 0) {
-        GAMMA_CHECK(!c.AnyFaults());
+        GAMMA_CHECK(!c.Engaged(gammadb::sim::CounterGroup::kFault));
       }
 
       std::printf("%-12s%14s%14.2f%12.3f%12lld%10lld\n", scenario.name,

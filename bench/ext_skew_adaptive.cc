@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       GAMMA_CHECK_EQ(fixed.stats.result_tuples, adaptive.stats.result_tuples)
           << names[a] << " theta=" << theta;
       if (theta >= 1.0) {
-        GAMMA_CHECK_GT(adaptive.stats.rebalance_plans, 0)
+        GAMMA_CHECK_GT(adaptive.metrics.counters.rebalance_plans, 0)
             << names[a] << " theta=" << theta
             << ": expected a rebalance plan to fire";
         GAMMA_CHECK_LT(adaptive.response_seconds(), fixed.response_seconds())

@@ -73,7 +73,8 @@ void RunZipfSection(double theta) {
     GAMMA_CHECK_EQ(fixed.stats.result_tuples, adaptive.stats.result_tuples);
     std::printf("%-12s%14.2f%14.2f%14lld\n", names[a],
                 fixed.response_seconds(), adaptive.response_seconds(),
-                static_cast<long long>(adaptive.stats.rebalance_moved_tuples));
+                static_cast<long long>(
+                    adaptive.metrics.counters.rebalance_moved_tuples));
     std::fflush(stdout);
   }
 }

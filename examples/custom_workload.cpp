@@ -92,7 +92,7 @@ int main() {
   std::printf("  buckets:         %d (after the Appendix A bucket "
               "analyzer)\n", output->stats.num_buckets);
   std::printf("  filter drops:    %lld\n",
-              (long long)output->stats.filter_drops);
+              (long long)output->metrics.counters.filter_drops);
   std::printf("  avg hash chain:  %.2f (skewed one-to-many duplicates)\n",
               output->stats.avg_chain_length);
 

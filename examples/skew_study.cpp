@@ -66,7 +66,7 @@ int main() {
       join::Algorithm::kSimpleHash, join::Algorithm::kSortMerge};
   for (join::Algorithm algorithm : algorithms) {
     double seconds[2];
-    join::JoinStats skewed_stats;
+    join::JoinOutput skewed_run;
     for (int skewed = 0; skewed < 2; ++skewed) {
       join::JoinSpec spec;
       spec.inner_relation = skewed ? "B_n" : "B_u";
@@ -83,13 +83,13 @@ int main() {
         return 1;
       }
       seconds[skewed] = output->response_seconds();
-      if (skewed) skewed_stats = output->stats;
+      if (skewed) skewed_run = *output;
       if (!catalog.Drop("skew_result").ok()) return 1;
     }
     std::printf("%-12s%17.2f%18.2f%12lld%12d\n",
                 join::AlgorithmName(algorithm), seconds[0], seconds[1],
-                (long long)skewed_stats.overflow_events,
-                skewed_stats.max_chain_length);
+                (long long)skewed_run.metrics.counters.ht_overflows,
+                skewed_run.stats.max_chain_length);
   }
   std::printf(
       "\nSkew penalizes the hash joins (uneven partitioning + duplicate\n"

@@ -28,10 +28,9 @@
 
 namespace gammadb::db {
 
+/// Planner thresholds. Joins plan with the defaults; whether they plan
+/// at all is JoinSpec::adaptive_repartition.
 struct RebalanceOptions {
-  /// Gather statistics and consider a rebalance plan at all. Off by
-  /// default: the static-routing code path stays byte-identical.
-  bool enabled = false;
   /// Minimum (max process load / mean process load) under static
   /// routing for a plan to be worth installing.
   double imbalance_threshold = 1.2;

@@ -176,15 +176,32 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
       spec.estimated_inner_tuples.has_value()
           ? *spec.estimated_inner_tuples * inner->schema().tuple_bytes()
           : inner->total_bytes();
-  uint64_t memory_bytes = spec.memory_bytes.value_or(static_cast<uint64_t>(
-      spec.memory_ratio * static_cast<double>(inner_bytes)));
+  // Budgets are computed in floating point, and casting a NaN, negative
+  // or >= 2^64 value to bytes is undefined.
+  const auto is_byte_count = [](double b) { return b >= 0 && b < 0x1p64; };
+  const double ratio_bytes =
+      spec.memory_ratio * static_cast<double>(inner_bytes);
+  if (!spec.memory_bytes.has_value() && !is_byte_count(ratio_bytes)) {
+    return Status::InvalidArgument(
+        "memory_ratio gives no join memory budget in [0, 2^64) bytes");
+  }
+  if (!std::isfinite(spec.memory_slack) || spec.memory_slack < 0) {
+    return Status::InvalidArgument("memory_slack must be finite and >= 0");
+  }
+  const uint64_t memory_bytes = spec.memory_bytes.has_value()
+                                    ? *spec.memory_bytes
+                                    : static_cast<uint64_t>(ratio_bytes);
   if (memory_bytes == 0) {
     return Status::InvalidArgument("zero join memory");
   }
 
-  const uint64_t capacity_per_node = static_cast<uint64_t>(
-      static_cast<double>(memory_bytes) / static_cast<double>(join_nodes.size()) *
-      (1.0 + spec.memory_slack));
+  const double capacity = static_cast<double>(memory_bytes) /
+                          static_cast<double>(join_nodes.size()) *
+                          (1.0 + spec.memory_slack);
+  if (!is_byte_count(capacity)) {
+    return Status::InvalidArgument("per-node capacity exceeds 2^64 bytes");
+  }
+  const uint64_t capacity_per_node = static_cast<uint64_t>(capacity);
   if (spec.algorithm != Algorithm::kSortMerge &&
       capacity_per_node < inner->schema().tuple_bytes()) {
     return Status::InvalidArgument(
@@ -238,8 +255,7 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
                              spec.use_bit_filters,
                              spec.hash_seed,
                              result};
-      params.rebalance = spec.rebalance;
-      params.rebalance.enabled = spec.adaptive_repartition;
+      params.adaptive_repartition = spec.adaptive_repartition;
       params.capture = capture_ptr;
       return RunSortMergeJoin(machine, params, &stats);
     }
@@ -255,8 +271,7 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
     config.capacity_bytes_per_node = capacity_per_node;
     config.use_bit_filters = spec.use_bit_filters;
     config.use_forming_bit_filters = spec.use_forming_bit_filters;
-    config.rebalance = spec.rebalance;
-    config.rebalance.enabled = spec.adaptive_repartition;
+    config.adaptive_repartition = spec.adaptive_repartition;
     config.max_overflow_levels = spec.max_overflow_levels;
     config.broker = &*broker;
     config.result = result;
@@ -331,13 +346,6 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
   out.metrics = machine.Metrics();
   out.stats = stats;
   out.stats.result_tuples = result->total_tuples();
-  out.stats.overflow_events = out.metrics.counters.ht_overflows;
-  out.stats.filter_drops = out.metrics.counters.filter_drops;
-  out.stats.rebalance_plans = out.metrics.counters.rebalance_plans;
-  out.stats.rebalance_moved_tuples =
-      out.metrics.counters.rebalance_moved_tuples;
-  out.stats.rebalance_replica_tuples =
-      out.metrics.counters.rebalance_replica_tuples;
   if (broker.has_value()) {
     out.stats.spill_bytes =
         static_cast<int64_t>(broker->TotalSpillBytes());

@@ -302,7 +302,7 @@ void HashJoinEngine::CollectChainStats() {
 }
 
 Status HashJoinEngine::MaybeRebalance(const std::string& label) {
-  if (!config_.rebalance.enabled) return Status::OK();
+  if (!config_.adaptive_repartition) return Status::OK();
   const size_t num_processes = jstate_.size();
   machine_->BeginPhase(label);
 
@@ -325,7 +325,7 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
   if (!overflow_engaged) {
     rebalance_plan_ = db::ComputeRebalancePlan(
         counts, config_.inner_schema->tuple_bytes(),
-        config_.capacity_bytes_per_node, config_.rebalance);
+        config_.capacity_bytes_per_node, db::RebalanceOptions{});
   }
   db::ChargeRebalance(*machine_, static_cast<int>(num_processes),
                       static_cast<int>(disks_.size()),
@@ -556,7 +556,7 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
   // keyed by join-process index, so they must be built from the
   // residency AFTER any heavy-bin migration.
   if (inner && table.HasImmediateBucket()) {
-    if (config_.rebalance.enabled) {
+    if (config_.adaptive_repartition) {
       build_finalize_deferred_ = true;
     } else {
       if (config_.use_bit_filters) BuildFilterFromResidents();

@@ -119,10 +119,10 @@ class HashJoinEngine {
     /// a filter built while the inner relation's buckets formed.
     bool use_forming_bit_filters = false;
     /// Extension: skew-aware adaptive repartitioning (docs/skew.md).
-    /// When rebalance.enabled, each sub-join gathers resident histogram
-    /// counts after its build and may install a heavy-bin override
-    /// table before the probing phase (MaybeRebalance).
-    db::RebalanceOptions rebalance;
+    /// When set, each sub-join gathers resident histogram counts after
+    /// its build and may install a heavy-bin override table before the
+    /// probing phase (MaybeRebalance).
+    bool adaptive_repartition = false;
     /// Bound on overflow-resolution recursion depth before the
     /// block-nested-loop fallback engages (JoinSpec::max_overflow_levels;
     /// docs/overflow.md). Must be >= 0; 0 sends the first overflow
@@ -172,7 +172,7 @@ class HashJoinEngine {
   /// replicates the overridden residents, and installs the plan for the
   /// probing phase — all inside its own charged phase whose label
   /// contains "rebalance" (fault injection can target it). A no-op
-  /// returning OK when config.rebalance.enabled is false.
+  /// returning OK when config.adaptive_repartition is false.
   Status MaybeRebalance(const std::string& label);
 
   /// Joins overflow files recursively with a fresh (level-mixed) hash

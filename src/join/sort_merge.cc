@@ -124,7 +124,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   // it arrives (free alongside the append, like the hash tables'
   // overflow histograms); the plan computed from those counts overrides
   // heavy bins' routing for S and redistributes R' before sorting.
-  const bool adaptive = params.rebalance.enabled && d >= 2;
+  const bool adaptive = params.adaptive_repartition && d >= 2;
   std::vector<HashHistogram> site_hist(adaptive ? d : 0);
   db::RebalancePlan plan;
 
@@ -237,7 +237,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
                             [&](size_t di) -> const HashHistogram& {
                               return site_hist[di];
                             }),
-        r_schema.tuple_bytes(), UINT64_MAX, params.rebalance);
+        r_schema.tuple_bytes(), UINT64_MAX, db::RebalanceOptions{});
     db::ChargeRebalance(machine, static_cast<int>(d), static_cast<int>(d),
                         plan.SerializedBytes());
     Status reb_status;

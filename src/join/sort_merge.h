@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "gamma/catalog.h"
-#include "gamma/rebalance.h"
 #include "join/spec.h"
 #include "sim/machine.h"
 
@@ -27,11 +26,11 @@ struct SortMergeParams {
   bool use_bit_filters;
   uint64_t hash_seed;
   db::StoredRelation* result;
-  /// Skew-aware adaptive repartitioning (docs/skew.md): when enabled,
-  /// the sites histogram R' as it arrives, and a heavy-bin override
-  /// plan may redistribute R' (replicating heavy bins) before it is
-  /// sorted; S then routes overridden bins to the new homes.
-  db::RebalanceOptions rebalance{};
+  /// Skew-aware adaptive repartitioning (docs/skew.md): when set, the
+  /// sites histogram R' as it arrives, and a heavy-bin override plan may
+  /// redistribute R' (replicating heavy bins) before it is sorted; S
+  /// then routes overridden bins to the new homes.
+  bool adaptive_repartition = false;
   /// Result capture (docs/testing.md): when non-null (parallel to the
   /// disk nodes), every result record appended to fragment i is also
   /// streamed into (*capture)[i]. Charges no simulated cost.

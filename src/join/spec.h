@@ -11,7 +11,6 @@
 
 #include "common/hash.h"
 #include "gamma/predicate.h"
-#include "gamma/rebalance.h"
 #include "join/digest.h"
 #include "sim/metrics.h"
 
@@ -79,9 +78,6 @@ struct JoinSpec {
   /// migration and broadcast work is charged through the cost model.
   /// Works for all four algorithms; no-op on skew-free inputs.
   bool adaptive_repartition = false;
-  /// Thresholds for the rebalance decision (enabled is derived from
-  /// adaptive_repartition; the flag here is ignored).
-  db::RebalanceOptions rebalance;
 
   /// Grace/Hybrid: overrides the optimizer's ceil(|R| / memory) choice.
   std::optional<int> num_buckets;
@@ -120,12 +116,13 @@ struct JoinSpec {
   bool capture_results = false;
 };
 
-/// Algorithm-level observations accompanying the time metrics.
+/// Algorithm-level observations accompanying the time metrics. Operation
+/// counts (overflow events, filter drops, rebalance work) are in
+/// JoinOutput::metrics.counters.
 struct JoinStats {
   int num_buckets = 1;
   /// Overflow recursion depth (0 = no hash-table overflow anywhere).
   int overflow_levels = 0;
-  int64_t overflow_events = 0;
   /// Hash-chain statistics over all build phases (paper Section 4.4
   /// reports 3.3 average / 16 maximum for the NU distribution).
   double avg_chain_length = 0;
@@ -133,14 +130,8 @@ struct JoinStats {
   /// External-sort intermediate merge passes (max over nodes).
   int inner_sort_passes = 0;
   int outer_sort_passes = 0;
+  /// Stored result size (Counters::result_tuples also counts aborted runs).
   size_t result_tuples = 0;
-  /// Tuples of the outer relation eliminated by bit filters.
-  int64_t filter_drops = 0;
-  /// Adaptive repartitioning (docs/skew.md): all zero unless a plan
-  /// activated, and only then serialized by the bench harness.
-  int64_t rebalance_plans = 0;
-  int64_t rebalance_moved_tuples = 0;
-  int64_t rebalance_replica_tuples = 0;
   /// Block-nested-loop overflow fallback (docs/overflow.md): number of
   /// sub-joins that degraded, and the total resident-slice passes they
   /// ran. Zero (and unserialized) unless a fallback fired.

@@ -192,22 +192,7 @@ RunMetrics Machine::Metrics() const {
   m.recovery_seconds = recovery_seconds_;
   m.phases = phases_;
   m.counters = machine_counters_;
-  for (const auto& node : nodes_) {
-    const Counters& c = node->counters();
-    m.counters.pages_read += c.pages_read;
-    m.counters.pages_written += c.pages_written;
-    m.counters.ht_inserts += c.ht_inserts;
-    m.counters.ht_probes += c.ht_probes;
-    m.counters.ht_overflows += c.ht_overflows;
-    m.counters.filter_drops += c.filter_drops;
-    m.counters.result_tuples += c.result_tuples;
-    m.counters.disk_read_faults += c.disk_read_faults;
-    m.counters.disk_write_faults += c.disk_write_faults;
-    m.counters.io_retries += c.io_retries;
-    m.counters.rebalance_plans += c.rebalance_plans;
-    m.counters.rebalance_moved_tuples += c.rebalance_moved_tuples;
-    m.counters.rebalance_replica_tuples += c.rebalance_replica_tuples;
-  }
+  for (const auto& node : nodes_) m.counters += node->counters();
   return m;
 }
 

@@ -121,6 +121,11 @@ struct PhaseRecord {
   double elapsed_seconds = 0;     // contribution to response time
 };
 
+/// Serialization group of a counter: kCore is always serialized, the
+/// others only when Engaged, so runs without faults or rebalancing keep
+/// the bytes of documents recorded before those counters existed.
+enum class CounterGroup : uint8_t { kCore, kFault, kRebalance };
+
 /// Whole-query operation counters (inputs to no cost; pure observability).
 struct Counters {
   int64_t pages_read = 0;
@@ -138,9 +143,7 @@ struct Counters {
   int64_t filter_drops = 0;         // outer tuples eliminated by bit filters
   int64_t result_tuples = 0;
 
-  // --- Fault injection & recovery (sim/fault.h). All remain zero when
-  // --- no FaultPlan is armed; serialization omits them in that case so
-  // --- fault-free metrics JSON is byte-identical to pre-fault baselines.
+  // --- CounterGroup::kFault: fault injection & recovery (sim/fault.h).
   int64_t disk_read_faults = 0;     // failed page-read attempts
   int64_t disk_write_faults = 0;    // failed page-write attempts
   int64_t io_retries = 0;           // extra attempts after transient faults
@@ -150,26 +153,13 @@ struct Counters {
   int64_t node_crashes = 0;         // mid-phase node failures
   int64_t operator_restarts = 0;    // Gamma-style abort-and-rerun recoveries
 
-  // --- Adaptive repartitioning (gamma/rebalance.h, docs/skew.md). All
-  // --- remain zero unless a rebalance plan activates; serialization
-  // --- omits them in that case so skew-free metrics JSON is
-  // --- byte-identical to pre-rebalance baselines.
+  // --- CounterGroup::kRebalance: adaptive repartitioning (docs/skew.md).
   int64_t rebalance_plans = 0;           // override tables installed
   int64_t rebalance_moved_tuples = 0;    // residents extracted & migrated
   int64_t rebalance_replica_tuples = 0;  // extra copies from replication
 
-  /// True when any fault machinery engaged during the run.
-  bool AnyFaults() const {
-    return (disk_read_faults | disk_write_faults | io_retries | packets_lost |
-            packets_duplicated | packets_retransmitted | node_crashes |
-            operator_restarts) != 0;
-  }
-
-  /// True when adaptive repartitioning installed at least one plan.
-  bool AnyRebalance() const {
-    return (rebalance_plans | rebalance_moved_tuples |
-            rebalance_replica_tuples) != 0;
-  }
+  bool Engaged(CounterGroup group) const;  // any member of `group` nonzero
+  Counters& operator+=(const Counters& other);
 
   /// Fraction of routed tuples that never crossed the ring.
   double ShortCircuitFraction() const {
@@ -179,6 +169,61 @@ struct Counters {
                             static_cast<double>(total);
   }
 };
+
+/// kCounterFields registers every Counters field once, in serialization
+/// order; merging, group engagement and JSON all iterate it.
+struct CounterField {
+  const char* name;
+  int64_t Counters::*member;
+  CounterGroup group;
+};
+inline constexpr CounterField kCounterFields[] = {
+    {"pages_read", &Counters::pages_read, CounterGroup::kCore},
+    {"pages_written", &Counters::pages_written, CounterGroup::kCore},
+    {"tuples_sent_local", &Counters::tuples_sent_local, CounterGroup::kCore},
+    {"tuples_sent_remote", &Counters::tuples_sent_remote, CounterGroup::kCore},
+    {"bytes_local", &Counters::bytes_local, CounterGroup::kCore},
+    {"bytes_remote", &Counters::bytes_remote, CounterGroup::kCore},
+    {"packets_local", &Counters::packets_local, CounterGroup::kCore},
+    {"packets_remote", &Counters::packets_remote, CounterGroup::kCore},
+    {"control_messages", &Counters::control_messages, CounterGroup::kCore},
+    {"ht_inserts", &Counters::ht_inserts, CounterGroup::kCore},
+    {"ht_probes", &Counters::ht_probes, CounterGroup::kCore},
+    {"ht_overflows", &Counters::ht_overflows, CounterGroup::kCore},
+    {"filter_drops", &Counters::filter_drops, CounterGroup::kCore},
+    {"result_tuples", &Counters::result_tuples, CounterGroup::kCore},
+    {"disk_read_faults", &Counters::disk_read_faults, CounterGroup::kFault},
+    {"disk_write_faults", &Counters::disk_write_faults, CounterGroup::kFault},
+    {"io_retries", &Counters::io_retries, CounterGroup::kFault},
+    {"packets_lost", &Counters::packets_lost, CounterGroup::kFault},
+    {"packets_duplicated", &Counters::packets_duplicated, CounterGroup::kFault},
+    {"packets_retransmitted", &Counters::packets_retransmitted,
+     CounterGroup::kFault},
+    {"node_crashes", &Counters::node_crashes, CounterGroup::kFault},
+    {"operator_restarts", &Counters::operator_restarts, CounterGroup::kFault},
+    {"rebalance_plans", &Counters::rebalance_plans, CounterGroup::kRebalance},
+    {"rebalance_moved_tuples", &Counters::rebalance_moved_tuples,
+     CounterGroup::kRebalance},
+    {"rebalance_replica_tuples", &Counters::rebalance_replica_tuples,
+     CounterGroup::kRebalance},
+};
+
+static_assert(sizeof(Counters) == std::size(kCounterFields) * sizeof(int64_t),
+              "every Counters field needs a kCounterFields entry");
+
+inline bool Counters::Engaged(CounterGroup group) const {
+  for (const CounterField& field : kCounterFields) {
+    if (field.group == group && this->*field.member != 0) return true;
+  }
+  return false;
+}
+
+inline Counters& Counters::operator+=(const Counters& other) {
+  for (const CounterField& field : kCounterFields) {
+    this->*field.member += other.*field.member;
+  }
+  return *this;
+}
 
 /// Full account of one simulated query execution.
 struct RunMetrics {

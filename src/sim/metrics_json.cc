@@ -3,48 +3,13 @@
 namespace gammadb::sim {
 
 JsonValue CountersToJson(const Counters& counters) {
-  // Serialization must stay in sync with the Counters struct: adding a
-  // field without emitting it would silently drop it from every
-  // baseline. The size check below fails the build until this function
-  // (and the schema test) are updated.
-  static_assert(sizeof(Counters) == 25 * sizeof(int64_t),
-                "Counters changed: update CountersToJson, "
-                "metrics_json_test.cc and docs/benchmarking.md");
+  // bench_diff flags candidate-only keys, so a baseline recorded with a
+  // group engaged keeps gating that group's keys.
   JsonValue out = JsonValue::MakeObject();
-  out.Set("pages_read", counters.pages_read);
-  out.Set("pages_written", counters.pages_written);
-  out.Set("tuples_sent_local", counters.tuples_sent_local);
-  out.Set("tuples_sent_remote", counters.tuples_sent_remote);
-  out.Set("bytes_local", counters.bytes_local);
-  out.Set("bytes_remote", counters.bytes_remote);
-  out.Set("packets_local", counters.packets_local);
-  out.Set("packets_remote", counters.packets_remote);
-  out.Set("control_messages", counters.control_messages);
-  out.Set("ht_inserts", counters.ht_inserts);
-  out.Set("ht_probes", counters.ht_probes);
-  out.Set("ht_overflows", counters.ht_overflows);
-  out.Set("filter_drops", counters.filter_drops);
-  out.Set("result_tuples", counters.result_tuples);
-  // Fault counters are emitted only when fault machinery engaged:
-  // fault-free runs must stay byte-identical to pre-fault baselines.
-  // (bench_diff flags candidate-only keys, so a baseline recorded with
-  // the condition engaged keeps gating it.)
-  if (counters.AnyFaults()) {
-    out.Set("disk_read_faults", counters.disk_read_faults);
-    out.Set("disk_write_faults", counters.disk_write_faults);
-    out.Set("io_retries", counters.io_retries);
-    out.Set("packets_lost", counters.packets_lost);
-    out.Set("packets_duplicated", counters.packets_duplicated);
-    out.Set("packets_retransmitted", counters.packets_retransmitted);
-    out.Set("node_crashes", counters.node_crashes);
-    out.Set("operator_restarts", counters.operator_restarts);
-  }
-  // Same contract for adaptive repartitioning: skew-free runs stay
-  // byte-identical to pre-rebalance baselines.
-  if (counters.AnyRebalance()) {
-    out.Set("rebalance_plans", counters.rebalance_plans);
-    out.Set("rebalance_moved_tuples", counters.rebalance_moved_tuples);
-    out.Set("rebalance_replica_tuples", counters.rebalance_replica_tuples);
+  for (const CounterField& field : kCounterFields) {
+    if (field.group == CounterGroup::kCore || counters.Engaged(field.group)) {
+      out.Set(field.name, counters.*field.member);
+    }
   }
   out.Set("short_circuit_fraction", counters.ShortCircuitFraction());
   return out;
@@ -98,7 +63,7 @@ JsonValue RunMetricsToJson(const RunMetrics& metrics,
                            bool include_attribution) {
   JsonValue out = JsonValue::MakeObject();
   out.Set("response_seconds", metrics.response_seconds);
-  if (metrics.counters.AnyFaults()) {
+  if (metrics.counters.Engaged(CounterGroup::kFault)) {
     out.Set("recovery_seconds", metrics.recovery_seconds);
   }
   out.Set("total_cpu_seconds", metrics.TotalCpuSeconds());

@@ -18,8 +18,8 @@ namespace gammadb::sim {
 /// ignores metrics missing from the baseline).
 inline constexpr int kMetricsSchemaVersion = 1;
 
-/// Every Counters field, keyed by field name, plus the derived
-/// short_circuit_fraction.
+/// Every kCounterFields entry of an engaged group (kCore always), keyed
+/// by name in table order, plus the derived short_circuit_fraction.
 JsonValue CountersToJson(const Counters& counters);
 
 /// Phase label, scheduler/ring/elapsed seconds, and per-node

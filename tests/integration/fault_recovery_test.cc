@@ -146,7 +146,7 @@ TEST(FaultRecoveryTest, MatrixPreservesJoinResults) {
     RunJoin(algorithm, nullptr, &clean);
     if (HasFatalFailure()) return;
     ASSERT_FALSE(clean.rows.empty());
-    EXPECT_FALSE(clean.metrics.counters.AnyFaults());
+    EXPECT_FALSE(clean.metrics.counters.Engaged(sim::CounterGroup::kFault));
     EXPECT_EQ(clean.metrics.recovery_seconds, 0.0);
 
     for (FaultClass fault_class :
@@ -166,7 +166,7 @@ TEST(FaultRecoveryTest, MatrixPreservesJoinResults) {
 
         // ...but visible in the metrics.
         const sim::Counters& c = faulted.metrics.counters;
-        EXPECT_TRUE(c.AnyFaults());
+        EXPECT_TRUE(c.Engaged(sim::CounterGroup::kFault));
         switch (fault_class) {
           case FaultClass::kDiskTransient:
             EXPECT_GT(c.disk_read_faults + c.disk_write_faults, 0);

@@ -46,7 +46,7 @@ TEST_F(FullScaleTest, RunsAreDeterministic) {
   EXPECT_EQ(a.metrics.counters.pages_read, b.metrics.counters.pages_read);
   EXPECT_EQ(a.metrics.counters.packets_remote,
             b.metrics.counters.packets_remote);
-  EXPECT_EQ(a.stats.filter_drops, b.stats.filter_drops);
+  EXPECT_EQ(a.metrics.counters.filter_drops, b.metrics.counters.filter_drops);
 }
 
 TEST_F(FullScaleTest, PaperScaleSanity) {
@@ -68,7 +68,7 @@ TEST_F(FullScaleTest, BucketCountsMatchRatios) {
     auto output = workload_->Run(join::Algorithm::kGraceHash,
                                  1.0 / buckets, false, false);
     EXPECT_EQ(output.stats.num_buckets, buckets);
-    EXPECT_EQ(output.stats.overflow_events, 0) << buckets;
+    EXPECT_EQ(output.metrics.counters.ht_overflows, 0) << buckets;
   }
 }
 
@@ -79,7 +79,7 @@ TEST_F(FullScaleTest, GraceIoConservation) {
   // (416-byte result tuples, 19/page), plus per-fragment partial pages.
   auto output = workload_->Run(join::Algorithm::kGraceHash, 0.25, false,
                                false);
-  ASSERT_EQ(output.stats.overflow_events, 0);
+  ASSERT_EQ(output.metrics.counters.ht_overflows, 0);
   const auto& c = output.metrics.counters;
   const int64_t data_pages = 257 + 2565;
   const int64_t result_pages = 527;

@@ -80,7 +80,8 @@ TEST(ParallelEquivalenceTest, NoOverflowRunsAreBitIdentical) {
               parallel.output.metrics.counters.packets_remote);
     EXPECT_EQ(serial.output.metrics.counters.bytes_local,
               parallel.output.metrics.counters.bytes_local);
-    EXPECT_EQ(serial.output.stats.filter_drops, parallel.output.stats.filter_drops);
+    EXPECT_EQ(serial.output.metrics.counters.filter_drops,
+              parallel.output.metrics.counters.filter_drops);
     EXPECT_EQ(serial.rows, parallel.rows);
     ExpectSameDigest(serial, parallel, algorithm, 4);
   }
@@ -99,8 +100,8 @@ TEST(ParallelEquivalenceTest, OverflowRunsAreBitIdentical) {
               parallel.output.metrics.counters.pages_read);
     EXPECT_EQ(serial.output.metrics.counters.pages_written,
               parallel.output.metrics.counters.pages_written);
-    EXPECT_EQ(serial.output.stats.overflow_events,
-              parallel.output.stats.overflow_events);
+    EXPECT_EQ(serial.output.metrics.counters.ht_overflows,
+              parallel.output.metrics.counters.ht_overflows);
     EXPECT_EQ(serial.rows, parallel.rows) << join::AlgorithmName(algorithm);
     ExpectSameDigest(serial, parallel, algorithm, 4);
   }

@@ -30,7 +30,7 @@ const join::Algorithm kAllAlgorithms[] = {
 
 struct RunOutput {
   std::vector<std::string> rows;
-  join::JoinStats stats;
+  sim::Counters counters;
   std::string metrics_json;
 };
 
@@ -67,7 +67,7 @@ void RunZipfJoin(join::Algorithm algorithm, bool adaptive, int threads,
   auto output = join::ExecuteJoin(machine, catalog, spec);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
 
-  out->stats = output->stats;
+  out->counters = output->metrics.counters;
   out->metrics_json =
       sim::RunMetricsToJson(output->metrics, /*attribution=*/true).Dump();
   auto rel = catalog.Get("result");
@@ -101,11 +101,11 @@ TEST(SkewAdaptiveTest, PlanFiresAndPreservesResults) {
     // Replication must neither drop nor duplicate result pairs.
     EXPECT_EQ(adaptive.rows, fixed.rows);
     // The Zipf(1.0) inner relation is skewed enough that a plan fires.
-    EXPECT_GE(adaptive.stats.rebalance_plans, 1);
-    EXPECT_GT(adaptive.stats.rebalance_moved_tuples, 0);
+    EXPECT_GE(adaptive.counters.rebalance_plans, 1);
+    EXPECT_GT(adaptive.counters.rebalance_moved_tuples, 0);
     // Static runs never pay rebalance costs.
-    EXPECT_EQ(fixed.stats.rebalance_plans, 0);
-    EXPECT_EQ(fixed.stats.rebalance_moved_tuples, 0);
+    EXPECT_EQ(fixed.counters.rebalance_plans, 0);
+    EXPECT_EQ(fixed.counters.rebalance_moved_tuples, 0);
   }
 }
 
@@ -148,7 +148,7 @@ TEST(SkewAdaptiveTest, CrashMidRebalanceRecovers) {
       // The crash lands inside the rebalance exchange; recovery re-runs
       // the operator and the final tuple multiset is untouched.
       EXPECT_EQ(faulted.rows, clean.rows);
-      EXPECT_GE(faulted.stats.rebalance_plans, 1);
+      EXPECT_GE(faulted.counters.rebalance_plans, 1);
       // The restart is visible in the fault counters via the JSON
       // (operator_restarts lives in sim::Counters, surfaced through the
       // serialized metrics the determinism test compares).

@@ -2,6 +2,8 @@
 // as a Status, never a crash, and never leave a result relation behind.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gamma/catalog.h"
 #include "join/driver.h"
 #include "sim/machine.h"
@@ -83,6 +85,36 @@ TEST_F(DriverValidationTest, ZeroMemory) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(DriverValidationTest, UnrepresentableMemoryInputs) {
+  // None of these yields a budget with a defined conversion to bytes.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double ratio : {nan, -0.5, inf, 1e30}) {
+    JoinSpec spec = ValidSpec();
+    spec.memory_ratio = ratio;
+    spec.result_name = "should_not_exist";
+    EXPECT_EQ(ExecuteJoin(machine_, catalog_, spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << "memory_ratio " << ratio;
+    EXPECT_FALSE(catalog_.Get("should_not_exist").ok());
+  }
+  for (double slack : {nan, -2.0, -0.5, inf}) {
+    JoinSpec spec = ValidSpec();
+    spec.memory_slack = slack;
+    spec.result_name = "should_not_exist";
+    EXPECT_EQ(ExecuteJoin(machine_, catalog_, spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << "memory_slack " << slack;
+    EXPECT_FALSE(catalog_.Get("should_not_exist").ok());
+  }
+  // One join process with the largest explicit budget plus slack.
+  JoinSpec spec = ValidSpec();
+  spec.memory_bytes = std::numeric_limits<uint64_t>::max();
+  spec.join_nodes = {0};
+  EXPECT_EQ(ExecuteJoin(machine_, catalog_, spec).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(DriverValidationTest, CapacityBelowOneTuple) {
   JoinSpec spec = ValidSpec();
   spec.memory_bytes = 100;  // < 208 bytes per node
@@ -99,13 +131,16 @@ TEST_F(DriverValidationTest, ResultNameCollision) {
 }
 
 TEST_F(DriverValidationTest, ExplicitMemoryBytesOverridesRatio) {
-  JoinSpec spec = ValidSpec();
-  spec.memory_ratio = 0.0;  // would be invalid alone
-  spec.memory_bytes = 100u * 208u;  // 100 tuples aggregate
-  auto output = ExecuteJoin(machine_, catalog_, spec);
-  ASSERT_TRUE(output.ok()) << output.status().ToString();
-  EXPECT_EQ(output->stats.result_tuples, 100u);
-  EXPECT_TRUE(catalog_.Drop(output->result_relation).ok());
+  // Each ratio would be invalid alone.
+  for (double ratio : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    JoinSpec spec = ValidSpec();
+    spec.memory_ratio = ratio;
+    spec.memory_bytes = 100u * 208u;  // 100 tuples aggregate
+    auto output = ExecuteJoin(machine_, catalog_, spec);
+    ASSERT_TRUE(output.ok()) << output.status().ToString();
+    EXPECT_EQ(output->stats.result_tuples, 100u);
+    EXPECT_TRUE(catalog_.Drop(output->result_relation).ok());
+  }
 }
 
 TEST_F(DriverValidationTest, FailedRunLeavesNoResultRelation) {

@@ -66,7 +66,7 @@ TEST_F(MultiProcessJoinTest, AppendixStarvationPathologyReproduced) {
     spec.memory_ratio = 1.0 / 3.0;
   });
   EXPECT_EQ(starved.stats.result_tuples, 600u);
-  EXPECT_GT(starved.stats.overflow_events, 0);
+  EXPECT_GT(starved.metrics.counters.ht_overflows, 0);
   // (The exact split-table mapping of the pathology — every bucket-2
   // tuple of disk 1 re-mapping to join site 1 — is asserted
   // entry-by-entry in split_table_test.cc.)
@@ -125,7 +125,7 @@ TEST_F(MultiProcessJoinTest, SimpleHashWithProcessPairs) {
     spec.memory_ratio = 0.4;
   });
   EXPECT_EQ(output.stats.result_tuples, 600u);
-  EXPECT_GT(output.stats.overflow_events, 0);
+  EXPECT_GT(output.metrics.counters.ht_overflows, 0);
 }
 
 }  // namespace

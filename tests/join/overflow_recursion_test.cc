@@ -235,7 +235,7 @@ TEST(SharedNodeOverflowTest, CoResidentProcessesShareTheNodeBudget) {
   GAMMA_CHECK(oracle.ok());
   auto output = ExecuteJoin(machine, catalog, spec);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
-  EXPECT_GT(output->stats.overflow_events, 0);
+  EXPECT_GT(output->metrics.counters.ht_overflows, 0);
   ASSERT_TRUE(output->result_digest.has_value());
   EXPECT_EQ(*output->result_digest, *oracle);
 }

@@ -41,14 +41,14 @@ class OverflowTest : public ::testing::Test {
 
 TEST_F(OverflowTest, NoOverflowAtFullMemory) {
   auto output = MustJoin([](JoinSpec& spec) { spec.memory_ratio = 1.0; });
-  EXPECT_EQ(output.stats.overflow_events, 0);
+  EXPECT_EQ(output.metrics.counters.ht_overflows, 0);
   EXPECT_EQ(output.stats.overflow_levels, 0);
   EXPECT_EQ(output.stats.result_tuples, 1000u);
 }
 
 TEST_F(OverflowTest, OverflowTriggersBelowCapacity) {
   auto output = MustJoin([](JoinSpec& spec) { spec.memory_ratio = 0.5; });
-  EXPECT_GT(output.stats.overflow_events, 0);
+  EXPECT_GT(output.metrics.counters.ht_overflows, 0);
   EXPECT_GE(output.stats.overflow_levels, 1);
   EXPECT_EQ(output.stats.result_tuples, 1000u);
 }
@@ -57,7 +57,8 @@ TEST_F(OverflowTest, RecursionDeepensAsMemoryShrinks) {
   auto half = MustJoin([](JoinSpec& spec) { spec.memory_ratio = 0.5; });
   auto tiny = MustJoin([](JoinSpec& spec) { spec.memory_ratio = 0.1; });
   EXPECT_GT(tiny.stats.overflow_levels, half.stats.overflow_levels);
-  EXPECT_GT(tiny.stats.overflow_events, half.stats.overflow_events);
+  EXPECT_GT(tiny.metrics.counters.ht_overflows,
+            half.metrics.counters.ht_overflows);
   EXPECT_EQ(tiny.stats.result_tuples, 1000u);
   // Repeated re-reading shows in the I/O counters.
   EXPECT_GT(tiny.metrics.counters.pages_written,
@@ -82,7 +83,7 @@ TEST_F(OverflowTest, HybridBucketZeroOverflowResolved) {
     s.num_buckets = 1;       // optimistic: force bucket-0 overflow
     s.memory_slack = 0.0;
   });
-  EXPECT_GT(output.stats.overflow_events, 0);
+  EXPECT_GT(output.metrics.counters.ht_overflows, 0);
   EXPECT_EQ(output.stats.result_tuples, 1000u);
 }
 
@@ -93,7 +94,7 @@ TEST_F(OverflowTest, GraceBucketOverflowResolved) {
     s.num_buckets = 1;       // bucket bigger than memory
     s.memory_slack = 0.0;
   });
-  EXPECT_GT(output.stats.overflow_events, 0);
+  EXPECT_GT(output.metrics.counters.ht_overflows, 0);
   EXPECT_EQ(output.stats.result_tuples, 1000u);
 }
 

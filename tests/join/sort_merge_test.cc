@@ -136,7 +136,7 @@ TEST_F(SortMergeJoinTest, FilterSavesSortAndMergeWork) {
     s.use_bit_filters = true;
   });
   EXPECT_EQ(filtered.stats.result_tuples, 400u);
-  EXPECT_GT(filtered.stats.filter_drops, 0);
+  EXPECT_GT(filtered.metrics.counters.filter_drops, 0);
   // Eliminated outer tuples are never written to the temp files.
   EXPECT_LT(filtered.metrics.counters.pages_written,
             plain.metrics.counters.pages_written);

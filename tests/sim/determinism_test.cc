@@ -180,7 +180,7 @@ TEST(DeterminismTest, OverflowScenarioDoesOverflow) {
   spec.result_name = "result";
   auto output = join::ExecuteJoin(machine, catalog, spec);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
-  EXPECT_GT(output->stats.overflow_events, 0);
+  EXPECT_GT(output->metrics.counters.ht_overflows, 0);
 }
 
 }  // namespace

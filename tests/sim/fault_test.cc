@@ -194,7 +194,7 @@ TEST_F(DiskFaultTest, TransientReadFaultRetriesAndSelfHeals) {
   EXPECT_EQ(c.io_retries, 1);
   EXPECT_EQ(c.pages_read, 1);
   EXPECT_EQ(c.pages_written, 1);
-  EXPECT_TRUE(c.AnyFaults());
+  EXPECT_TRUE(c.Engaged(CounterGroup::kFault));
 }
 
 TEST_F(DiskFaultTest, TransientWriteFaultCountsSeparately) {
@@ -283,7 +283,7 @@ TEST_F(DiskFaultTest, EmptyPlanDisarms) {
   machine_.BeginPhase("clean");
   EXPECT_TRUE(disk().ReadPage(id, out.data(), AccessPattern::kRandom).ok());
   machine_.EndPhase().IgnoreError();
-  EXPECT_FALSE(machine_.Metrics().counters.AnyFaults());
+  EXPECT_FALSE(machine_.Metrics().counters.Engaged(CounterGroup::kFault));
 }
 
 // ---------------------------------------------------------------------------
@@ -482,7 +482,7 @@ TEST_F(CrashTest, RecordOperatorRestartBooksRecoveryTime) {
   const RunMetrics m = machine_.Metrics();
   EXPECT_EQ(m.counters.operator_restarts, 1);
   EXPECT_DOUBLE_EQ(m.recovery_seconds, wasted);
-  EXPECT_TRUE(m.counters.AnyFaults());
+  EXPECT_TRUE(m.counters.Engaged(CounterGroup::kFault));
   // Recovery time is part of response time, not in addition to it.
   EXPECT_DOUBLE_EQ(m.response_seconds, wasted);
 }

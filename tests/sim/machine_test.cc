@@ -98,6 +98,20 @@ TEST(MachineTest, MetricsMergeNodeCounters) {
   const RunMetrics m = machine.Metrics();
   EXPECT_EQ(m.counters.ht_inserts, 12);
   EXPECT_EQ(m.counters.result_tuples, 3);
+
+  // Every registered counter either node books reaches the merged
+  // metrics, whichever group it belongs to.
+  machine.ResetMetrics();
+  int64_t value = 1;
+  for (const CounterField& field : kCounterFields) {
+    machine.node(0).counters().*field.member = value;
+    machine.node(1).counters().*field.member = 100 * value++;
+  }
+  const Counters merged = machine.Metrics().counters;
+  value = 1;
+  for (const CounterField& field : kCounterFields) {
+    EXPECT_EQ(merged.*field.member, 101 * value++) << field.name;
+  }
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(CountersToJsonTest, FaultKeysAppearOnlyWhenFaultsEngaged) {
   faulted.packets_retransmitted = 20;
   faulted.node_crashes = 21;
   faulted.operator_restarts = 22;
-  ASSERT_TRUE(faulted.AnyFaults());
+  ASSERT_TRUE(faulted.Engaged(CounterGroup::kFault));
   const JsonValue json = CountersToJson(faulted);
   int64_t expected = 15;
   for (const std::string& key : fault_keys) {
@@ -111,7 +111,7 @@ TEST(CountersToJsonTest, RebalanceKeysAppearOnlyWhenRebalanceEngaged) {
   rebalanced.rebalance_plans = 23;
   rebalanced.rebalance_moved_tuples = 24;
   rebalanced.rebalance_replica_tuples = 25;
-  ASSERT_TRUE(rebalanced.AnyRebalance());
+  ASSERT_TRUE(rebalanced.Engaged(CounterGroup::kRebalance));
   const JsonValue json = CountersToJson(rebalanced);
   int64_t expected = 23;
   for (const std::string& key : rebalance_keys) {
@@ -129,6 +129,31 @@ TEST(CountersToJsonTest, RebalanceKeysAppearOnlyWhenRebalanceEngaged) {
   const JsonValue partial = CountersToJson(one);
   EXPECT_NE(partial.Find("rebalance_plans"), nullptr);
   EXPECT_EQ(partial.Find("disk_read_faults"), nullptr);
+}
+
+TEST(CountersToJsonTest, EachRegisteredCounterEngagesOnlyItsGroup) {
+  const CounterGroup groups[] = {CounterGroup::kCore, CounterGroup::kFault,
+                                 CounterGroup::kRebalance};
+  const size_t core_keys = CountersToJson(Counters{}).AsObject().size();
+  for (const CounterField& field : kCounterFields) {
+    Counters c;
+    c.*field.member = 42;
+    for (CounterGroup group : groups) {
+      EXPECT_EQ(c.Engaged(group), group == field.group) << field.name;
+    }
+    const JsonValue json = CountersToJson(c);
+    const JsonValue* key = json.Find(field.name);
+    ASSERT_NE(key, nullptr) << field.name;
+    EXPECT_EQ(key->AsInt(), 42) << field.name;
+    // A core counter adds no key; any other brings in its whole group.
+    size_t added = 0;
+    for (const CounterField& other : kCounterFields) {
+      if (field.group != CounterGroup::kCore && other.group == field.group) {
+        ++added;
+      }
+    }
+    EXPECT_EQ(json.AsObject().size(), core_keys + added) << field.name;
+  }
 }
 
 TEST(RunMetricsToJsonTest, RecoverySecondsAppearsOnlyWithFaults) {

@@ -1,7 +1,6 @@
 // bench_diff: CI regression gate over benchmark JSON documents.
 //
-//   bench_diff [--tolerance <rel>] [--lenient-counters]
-//              <baseline.json> <candidate.json>
+//   bench_diff [--tolerance <rel>] <baseline.json> <candidate.json>
 //   bench_diff --wallclock-summary <before.json> <after.json>
 //
 // Compares every metric of the baseline against the candidate (schema:
@@ -10,8 +9,7 @@
 // baseline must be refreshed deliberately), 2 on usage/parse errors. Identical
 // documents always pass; time metrics (keys ending in "seconds") pass
 // within the relative tolerance; all other numeric metrics are
-// deterministic simulator counters and must match exactly unless
-// --lenient-counters is given.
+// deterministic simulator counters and must match exactly.
 //
 // --wallclock-summary instead prints a side-by-side table of every host
 // wall-clock leaf ("real_seconds" / "wall_seconds") in the two
@@ -31,7 +29,7 @@ namespace {
 
 [[noreturn]] void Usage(const char* argv0, const char* error) {
   std::fprintf(stderr,
-               "%s\nusage: %s [--tolerance <rel>] [--lenient-counters] "
+               "%s\nusage: %s [--tolerance <rel>] "
                "[--wallclock-summary] <baseline.json> <candidate.json>\n",
                error, argv0);
   std::exit(2);
@@ -61,8 +59,6 @@ int main(int argc, char** argv) {
       options.seconds_tolerance = ParseTolerance(argv[0], argv[++i]);
     } else if (std::strncmp(arg, "--tolerance=", 12) == 0) {
       options.seconds_tolerance = ParseTolerance(argv[0], arg + 12);
-    } else if (std::strcmp(arg, "--lenient-counters") == 0) {
-      options.strict_counters = false;
     } else if (std::strcmp(arg, "--wallclock-summary") == 0) {
       wallclock_summary = true;
     } else if (arg[0] == '-') {

@@ -141,8 +141,7 @@ class Differ {
       }
       return;
     }
-    Add(options_.strict_counters ? DiffKind::kRegression : DiffKind::kInfo,
-        path, delta);
+    Add(DiffKind::kRegression, path, delta);
   }
 
   void Add(DiffKind kind, const std::string& path, std::string message) {

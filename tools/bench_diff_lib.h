@@ -17,15 +17,10 @@ struct DiffOptions {
   /// Relative tolerance for time metrics (keys ending in "seconds"): a
   /// candidate value above baseline * (1 + tolerance) is a regression.
   double seconds_tolerance = 0.05;
-  /// When true, any difference in a non-time numeric metric (operation
-  /// counters, bucket counts, ...) is a regression; when false such
-  /// differences are reported informationally only. Counters are
-  /// deterministic in the simulator, so CI runs with strict mode on.
-  bool strict_counters = true;
 };
 
 enum class DiffKind {
-  kRegression,   // time metric above tolerance, or strict counter drift
+  kRegression,   // time metric above tolerance, or counter drift
   kImprovement,  // time metric below baseline by more than tolerance
   kInfo,         // non-gated difference
   kMissing,      // metric present in baseline, absent in candidate

@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
                   .c_str());
   std::printf("buckets:           %d\n", output->stats.num_buckets);
   std::printf("overflow events:   %lld (depth %d)\n",
-              (long long)output->stats.overflow_events,
+              (long long)c.ht_overflows,
               output->stats.overflow_levels);
   std::printf("pages read/write:  %s / %s\n",
               WithThousandsSeparators(c.pages_read).c_str(),
@@ -274,7 +274,7 @@ int main(int argc, char** argv) {
                   .c_str());
   if (options.filters) {
     std::printf("filter drops:      %s\n",
-                WithThousandsSeparators(output->stats.filter_drops).c_str());
+                WithThousandsSeparators(c.filter_drops).c_str());
   }
   if (output->stats.avg_chain_length > 0) {
     std::printf("hash chains:       %.2f avg, %d max\n",
