@@ -15,6 +15,7 @@
 #include "join/hash_table.h"
 #include "sim/exchange.h"
 #include "sim/machine.h"
+#include "sim/memory_broker.h"
 #include "storage/btree.h"
 #include "storage/external_sort.h"
 #include "storage/heap_file.h"
@@ -47,10 +48,12 @@ std::vector<storage::Tuple> BenchTuples(uint32_t n) {
 
 void BM_HashTableInsert(benchmark::State& state) {
   const auto tuples = BenchTuples(static_cast<uint32_t>(state.range(0)));
+  const uint64_t capacity = static_cast<uint64_t>(tuples.size()) * 208 * 2;
   for (auto _ : state) {
+    sim::MemoryBroker broker(1);
+    broker.AddBudget(0, capacity);
     join::JoinHashTable table(&BenchMachine().node(0), &BenchSchema(),
-                              wisconsin::fields::kUnique1,
-                              static_cast<uint64_t>(tuples.size()) * 208 * 2);
+                              wisconsin::fields::kUnique1, capacity, &broker);
     for (const auto& t : tuples) {
       const uint64_t h = HashJoinAttribute(
           t.GetInt32(BenchSchema(), wisconsin::fields::kUnique1));
@@ -64,9 +67,11 @@ BENCHMARK(BM_HashTableInsert)->Arg(1000)->Arg(10000);
 
 void BM_HashTableProbe(benchmark::State& state) {
   const auto tuples = BenchTuples(static_cast<uint32_t>(state.range(0)));
+  const uint64_t capacity = static_cast<uint64_t>(tuples.size()) * 208 * 2;
+  sim::MemoryBroker broker(1);
+  broker.AddBudget(0, capacity);
   join::JoinHashTable table(&BenchMachine().node(0), &BenchSchema(),
-                            wisconsin::fields::kUnique1,
-                            static_cast<uint64_t>(tuples.size()) * 208 * 2);
+                            wisconsin::fields::kUnique1, capacity, &broker);
   for (const auto& t : tuples) {
     table.Insert(t, HashJoinAttribute(t.GetInt32(
                         BenchSchema(), wisconsin::fields::kUnique1)));

@@ -17,6 +17,7 @@
 #include "common/logging.h"
 #include "join/hash_table.h"
 #include "sim/machine.h"
+#include "sim/memory_broker.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
 
@@ -50,8 +51,11 @@ int main(int argc, char** argv) {
       {gammadb::storage::Field::Int32("k"),
        gammadb::storage::Field::Char("pad", 28)});
   machine.BeginPhase("micro_hash_table");
-  gammadb::join::JoinHashTable table(&machine.node(0), &schema, 0,
-                                     schema.tuple_bytes() * num_tuples);
+  const uint64_t capacity = schema.tuple_bytes() * num_tuples;
+  gammadb::sim::MemoryBroker broker(1);
+  broker.AddBudget(0, capacity);
+  gammadb::join::JoinHashTable table(&machine.node(0), &schema, 0, capacity,
+                                     &broker);
 
   // --- build ---------------------------------------------------------
   auto start = std::chrono::steady_clock::now();

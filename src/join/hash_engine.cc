@@ -173,7 +173,7 @@ void HashJoinEngine::SpoolToOverflow(sim::Node& from, size_t ji,
   // its own node's entry (sim/memory_broker.h). Only totals are read.
   // Accounting only — the write itself is charged by the disk-side
   // drain.
-  if (config_.broker != nullptr) config_.broker->NoteSpill(from.id(), bytes);
+  config_.broker->NoteSpill(from.id(), bytes);
   overflow_exchange_.Send(from.id(), jstate_[ji].host_disk_node,
                           OverflowMsg{std::move(t),
                                       static_cast<int32_t>(ji), is_inner},
@@ -316,13 +316,20 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
 
   // An overflow-engaged sub-join keeps the static route: overflow files
   // were already written under the static mapping, and replicated
-  // residents would reach overflow resolution twice.
-  bool overflow_engaged = false;
+  // residents would reach overflow resolution twice. So does one where
+  // a process holds more than its capacity share, which it can when it
+  // borrowed a co-resident sibling's unused budget (sim/memory_broker.h):
+  // the plan checks each destination against the per-process capacity
+  // only, so filling that sibling to it would overrun the node budget.
+  bool keep_static = false;
   for (const JoinNodeState& st : jstate_) {
-    if (st.cutoff != UINT64_MAX) overflow_engaged = true;
+    if (st.cutoff != UINT64_MAX ||
+        st.table->bytes_used() > config_.capacity_bytes_per_node) {
+      keep_static = true;
+    }
   }
   rebalance_plan_ = db::RebalancePlan{};
-  if (!overflow_engaged) {
+  if (!keep_static) {
     rebalance_plan_ = db::ComputeRebalancePlan(
         counts, config_.inner_schema->tuple_bytes(),
         config_.capacity_bytes_per_node, db::RebalanceOptions{});
@@ -366,8 +373,10 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
     });
 
     // Round B: destinations absorb the migrated residents. The plan's
-    // feasibility math is exact (fixed-width tuples), so an insert here
-    // can never overflow.
+    // feasibility math is exact (fixed-width tuples) and keeps every
+    // destination within the per-process capacity; with every process
+    // inside it before the plan (checked above), each node stays within
+    // its budget, so an insert here cannot overflow.
     machine_->RunOnNodes(Participants(false), [&](sim::Node& n) {
       exchange_.DrainInboxBlocks(n.id(), [&](std::vector<RoutedTuple>& lane) {
         for (RoutedTuple& m : lane) {
@@ -624,9 +633,7 @@ Status HashJoinEngine::ScanTaken(
         inner_side ? taken.r[ji].get() : taken.s[ji].get();
     if (file == nullptr) continue;
     GAMMA_RETURN_IF_ERROR(file->FlushAppends());
-    if (config_.broker != nullptr) {
-      config_.broker->NoteRefill(n.id(), file->data_bytes());
-    }
+    config_.broker->NoteRefill(n.id(), file->data_bytes());
     GAMMA_RETURN_IF_ERROR(ScanBlocks(
         n, *file, exchange_,
         [&](const storage::TupleBlock& block) { yield(ji, block); }));

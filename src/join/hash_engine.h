@@ -128,12 +128,11 @@ class HashJoinEngine {
     /// docs/overflow.md). Must be >= 0; 0 sends the first overflow
     /// straight to the fallback.
     int max_overflow_levels = 16;
-    /// Optional per-node build-memory broker (sim/memory_broker.h).
-    /// When set, hash-table admission draws on the owning node's shared
-    /// budget (instead of a private per-process ledger) and overflow
-    /// spill/refill bytes are recorded on it — each on the node whose
-    /// task spools or re-reads the bytes.
-    sim::MemoryBroker* broker = nullptr;
+    /// Per-node build-memory broker (sim/memory_broker.h), required:
+    /// hash-table admission draws on the owning node's shared budget,
+    /// and overflow spill/refill bytes are recorded on it — each on the
+    /// node whose task spools or re-reads the bytes.
+    sim::MemoryBroker* broker;
     db::StoredRelation* result;  // fragments parallel to the disk nodes
     JoinStats* stats;
     /// Result capture (docs/testing.md): when non-null (parallel to the
@@ -206,9 +205,6 @@ class HashJoinEngine {
 
   /// Flushes the result relation's partial pages (one final phase).
   Status FinalizeResult();
-
-  /// True if the benchmark-visible hash chains statistics have data.
-  const JoinStats& stats() const { return *config_.stats; }
 
  private:
   struct JoinNodeState {

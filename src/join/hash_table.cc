@@ -10,11 +10,7 @@ namespace gammadb::join {
 JoinHashTable::JoinHashTable(sim::Node* node, const storage::Schema* schema,
                              int key_field, uint64_t capacity_bytes,
                              sim::MemoryBroker* broker)
-    : node_(node),
-      schema_(schema),
-      key_field_(key_field),
-      capacity_bytes_(capacity_bytes),
-      broker_(broker) {
+    : node_(node), schema_(schema), key_field_(key_field), broker_(broker) {
   GAMMA_CHECK_GE(capacity_bytes, static_cast<uint64_t>(schema->tuple_bytes()))
       << "hash table capacity below one tuple";
   // Logical (charged) geometry: ~1 tuple per slot at capacity, exactly
@@ -53,17 +49,11 @@ void JoinHashTable::GrowPhysicalIfNeeded() {
 }
 
 JoinHashTable::~JoinHashTable() {
-  if (broker_ != nullptr && bytes_used_ > 0) {
-    broker_->Release(node_->id(), bytes_used_);
-  }
+  if (bytes_used_ > 0) broker_->Release(node_->id(), bytes_used_);
 }
 
 bool JoinHashTable::Insert(storage::Tuple&& tuple, uint64_t hash) {
-  if (broker_ != nullptr) {
-    if (!broker_->TryReserve(node_->id(), tuple.size())) return false;
-  } else if (bytes_used_ + tuple.size() > capacity_bytes_) {
-    return false;
-  }
+  if (!broker_->TryReserve(node_->id(), tuple.size())) return false;
   node_->ChargeCpu(node_->cost().cpu_ht_insert_seconds,
                    sim::CostCategory::kHtInsert);
   ++node_->counters().ht_inserts;
@@ -107,9 +97,7 @@ JoinHashTable::ChainStats JoinHashTable::ComputeChainStats() const {
 }
 
 void JoinHashTable::Clear() {
-  if (broker_ != nullptr && bytes_used_ > 0) {
-    broker_->Release(node_->id(), bytes_used_);
-  }
+  if (bytes_used_ > 0) broker_->Release(node_->id(), bytes_used_);
   entries_.clear();
   std::fill(slots_.begin(), slots_.end(), Slot{0, kEmptySlot});
   bytes_used_ = 0;

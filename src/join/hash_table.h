@@ -42,25 +42,23 @@ class JoinHashTable {
   /// Largest batch ProbeBatch accepts (bounds its stack scratch).
   static constexpr size_t kProbeBatchMax = 64;
 
-  /// `capacity_bytes` bounds the summed serialized size of resident
-  /// tuples; the logical slot count is sized for ~1 tuple per slot at
-  /// capacity (the charged chain geometry), the physical index for a
-  /// load factor <= 1/2 at capacity. When `broker` is non-null,
-  /// admission is arbitrated by the node's shared budget instead of the
-  /// private `capacity_bytes` ledger (sim/memory_broker.h): every
-  /// insert reserves its bytes from the broker and every eviction,
-  /// extraction, clear or destruction releases them. `capacity_bytes`
-  /// still sizes the slot geometry either way.
+  /// `capacity_bytes` is the table's expected byte budget: the logical
+  /// slot count is sized for ~1 tuple per slot at capacity (the charged
+  /// chain geometry), the physical index for a load factor <= 1/2 at
+  /// capacity. Admission is arbitrated by the node's shared `broker`
+  /// budget (sim/memory_broker.h): every insert reserves its bytes from
+  /// the broker and every eviction, extraction, clear or destruction
+  /// releases them.
   JoinHashTable(sim::Node* node, const storage::Schema* schema,
                 int key_field, uint64_t capacity_bytes,
-                sim::MemoryBroker* broker = nullptr);
+                sim::MemoryBroker* broker);
   /// Releases any remaining broker reservation.
   ~JoinHashTable();
 
-  /// Inserts the tuple (charging insert CPU) unless the byte budget
-  /// would be exceeded; returns false on overflow WITHOUT inserting or
-  /// consuming the tuple (the caller runs the eviction protocol and
-  /// retries or redirects the still-valid tuple).
+  /// Inserts the tuple (charging insert CPU) unless the node's broker
+  /// budget would be exceeded; returns false on overflow WITHOUT
+  /// inserting or consuming the tuple (the caller runs the eviction
+  /// protocol and retries or redirects the still-valid tuple).
   bool Insert(storage::Tuple&& tuple, uint64_t hash);
   /// Copying convenience overload (tests, reference workloads). The
   /// byte-budget check runs BEFORE the copy so a rejected insert never
@@ -178,7 +176,6 @@ class JoinHashTable {
 
   size_t size() const { return entries_.size(); }
   uint64_t bytes_used() const { return bytes_used_; }
-  uint64_t capacity_bytes() const { return capacity_bytes_; }
   const HashHistogram& histogram() const { return histogram_; }
 
   struct ChainStats {
@@ -220,17 +217,15 @@ class JoinHashTable {
 
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
-  /// Would an insert of `n` bytes be admitted right now? Broker mode
-  /// asks the node's shared budget; otherwise the private ledger.
+  /// Would an insert of `n` bytes be admitted right now?
   bool HasRoomFor(uint32_t n) const {
-    if (broker_ != nullptr) return n <= broker_->available(node_->id());
-    return bytes_used_ + n <= capacity_bytes_;
+    return n <= broker_->available(node_->id());
   }
 
-  /// Returns resident bytes to whichever ledger admitted them.
+  /// Returns resident bytes to the broker.
   void ReleaseBytes(uint32_t n) {
     bytes_used_ -= n;
-    if (broker_ != nullptr) broker_->Release(node_->id(), n);
+    broker_->Release(node_->id(), n);
   }
 
   /// The stored slot tag: the remixed hash's top 32 bits. Tag equality
@@ -299,9 +294,8 @@ class JoinHashTable {
   sim::Node* node_;
   const storage::Schema* schema_;
   int key_field_;
-  uint64_t capacity_bytes_;
-  sim::MemoryBroker* broker_;  // null = private capacity ledger
-  uint64_t bytes_used_ = 0;
+  sim::MemoryBroker* broker_;
+  uint64_t bytes_used_ = 0;  // this table's share of the broker's `used`
   int logical_shift_;
   size_t num_logical_slots_;
   int home_shift_;              // log2(physical slots / logical slots)

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/histogram.h"
 #include "common/logging.h"
 #include "gamma/bit_filter.h"
@@ -244,47 +243,43 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     if (plan.active) {
       ++machine.node(disks[0]).counters().rebalance_plans;
       plan.Install(d);
-      // Round A: every site rewrites its R' — overridden bins ship a
-      // view to each destination, the rest land in the replacement
-      // file. An honest full read + rewrite of R', charged as such. The
-      // views stay valid until the old R' is freed after round B.
+      // Round A: every site rewrites its R' through RouteBlock —
+      // overridden bins ship a view to each destination, the rest land
+      // in the replacement file, and `decide` consumes every tuple. An
+      // honest full read + rewrite of R', charged as such. The views
+      // stay valid until the old R' is freed after round B.
       std::vector<std::unique_ptr<storage::HeapFile>> keep(d);
       for (size_t di = 0; di < d; ++di) {
         keep[di] = std::make_unique<storage::HeapFile>(
             &machine.node(disks[di]), &r_schema,
             "smR.reb." + std::to_string(di));
       }
+      const RouteSource source{&r_schema, params.inner_field,
+                               params.hash_seed, nullptr, nullptr};
       reb_status = machine.TryRunOnNodes(disks, [&](sim::Node& n) -> Status {
         const size_t di = machine.DiskIndexOf(n.id());
-        auto scanner = sites[di].r.temp->Scan();
-        storage::TupleBlock block;
         Status st;
-        while (scanner.NextBlock(&block)) {
-          for (size_t i = 0; i < block.size(); ++i) {
-            const storage::TupleView& v = block.view(i);
-            n.ChargeCpu(n.cost().cpu_read_tuple_seconds,
-                        sim::CostCategory::kReadTuple);
-            const uint64_t hash = HashJoinAttribute(
-                r_schema.GetInt32(v.data,
-                                  static_cast<size_t>(params.inner_field)),
-                params.hash_seed);
-            n.ChargeCpu(n.cost().cpu_hash_route_seconds,
-                        sim::CostCategory::kHashRoute);
-            if (const std::vector<int>* dests = plan.DestinationsFor(hash)) {
-              ++n.counters().rebalance_moved_tuples;
-              n.counters().rebalance_replica_tuples +=
-                  static_cast<int64_t>(dests->size()) - 1;
-              for (int dest : *dests) {
-                exchange.Send(n.id(), disks[static_cast<size_t>(dest)],
-                              RoutedTuple{v.data, v.size, hash, 0, 0},
-                              v.size);
-              }
-            } else {
-              st.Update(keep[di]->AppendRecord(v.data));
+        const auto decide = [&](const storage::TupleView& v, uint64_t hash,
+                                uint32_t) -> Route {
+          if (const std::vector<int>* dests = plan.DestinationsFor(hash)) {
+            ++n.counters().rebalance_moved_tuples;
+            n.counters().rebalance_replica_tuples +=
+                static_cast<int64_t>(dests->size()) - 1;
+            for (int dest : *dests) {
+              exchange.Send(n.id(), disks[static_cast<size_t>(dest)],
+                            RoutedTuple{v.data, v.size, hash, 0, 0}, v.size);
             }
+          } else {
+            st.Update(keep[di]->AppendRecord(v.data));
           }
-        }
-        st.Update(scanner.status());
+          return Route::Drop();
+        };
+        RouteScratch scratch(static_cast<size_t>(machine.num_nodes()));
+        st.Update(ScanBlocks(n, *sites[di].r.temp, exchange,
+                             [&](const storage::TupleBlock& block) {
+                               RouteBlock(n, source, block, exchange,
+                                          &scratch, decide);
+                             }));
         return st;
       });
       // Round B: destinations absorb the migrated tuples, setting their

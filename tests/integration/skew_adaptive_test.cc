@@ -2,19 +2,26 @@
 // Zipf-distributed join attribute every algorithm must produce exactly
 // the static-run tuple multiset with a plan active, the determinism
 // contract must hold (byte-identical metrics JSON at 1, 4, and 8
-// executor threads, clean and faulted), and a node crash in the middle
-// of the rebalance exchange must recover through the operator-restart
-// scheme without losing or duplicating migrated residents.
+// executor threads, clean and faulted), a node crash in the middle of
+// the rebalance exchange must recover through the operator-restart
+// scheme without losing or duplicating migrated residents, and join
+// processes sharing a node must match the oracle.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gamma/catalog.h"
+#include "gamma/loader.h"
 #include "join/driver.h"
 #include "sim/fault.h"
 #include "sim/machine.h"
 #include "sim/metrics_json.h"
+#include "storage/schema.h"
+#include "testing/oracle.h"
+#include "testing/skew_util.h"
+#include "testing/status_matchers.h"
 #include "testing/test_util.h"
 #include "wisconsin/wisconsin.h"
 
@@ -156,6 +163,66 @@ TEST(SkewAdaptiveTest, CrashMidRebalanceRecovers) {
                 std::string::npos);
       EXPECT_NE(faulted.metrics_json.find("node_crashes"),
                 std::string::npos);
+    }
+  }
+}
+
+TEST(SkewAdaptiveTest, SharedNodeProcessesMatchTheOracle) {
+  // Two join processes on each of two nodes over Zipf(1.3) keys. A
+  // process may borrow its sibling's unused share of the node budget
+  // (sim/memory_broker.h), while the rebalance planner checks each
+  // destination against the per-process capacity only: a plan that
+  // then filled the sibling would overrun the node, and the migration
+  // insert would abort.
+  const storage::Schema schema(
+      {storage::Field::Int32("key"), storage::Field::Int32("val")});
+  const auto make = [&](const std::vector<int32_t>& keys) {
+    std::vector<storage::Tuple> tuples;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      storage::Tuple t(schema.tuple_bytes());
+      t.SetInt32(schema, 0, keys[i]);
+      t.SetInt32(schema, 1, static_cast<int32_t>(i));
+      tuples.push_back(std::move(t));
+    }
+    return tuples;
+  };
+  const std::vector<storage::Tuple> inner_tuples =
+      make(testing::ZipfKeys(1000, 64, 1.3, 1));
+  const std::vector<storage::Tuple> outer_tuples =
+      make(testing::ZipfKeys(2000, 64, 1.3, 2));
+  for (join::Algorithm algorithm :
+       {join::Algorithm::kSimpleHash, join::Algorithm::kGraceHash,
+        join::Algorithm::kHybridHash}) {
+    for (int threads : {1, 4, 8}) {
+      SCOPED_TRACE(std::string(join::AlgorithmName(algorithm)) + " x" +
+                   std::to_string(threads));
+      sim::MachineConfig config = testing::SmallConfig(2);
+      config.num_threads = threads;
+      sim::Machine machine(config);
+      db::Catalog catalog;
+      auto inner = catalog.Create(machine, "R", schema);
+      auto outer = catalog.Create(machine, "S", schema);
+      ASSERT_TRUE(inner.ok() && outer.ok());
+      db::LoadOptions options;
+      options.strategy = db::PartitionStrategy::kRoundRobin;
+      GAMMA_ASSERT_OK(db::LoadRelation(*inner, inner_tuples, options));
+      GAMMA_ASSERT_OK(db::LoadRelation(*outer, outer_tuples, options));
+
+      join::JoinSpec spec;
+      spec.inner_relation = "R";
+      spec.outer_relation = "S";
+      spec.algorithm = algorithm;
+      spec.memory_ratio = 1.0;
+      spec.join_nodes = {0, 0, 1, 1};
+      spec.adaptive_repartition = true;
+      spec.result_name = "result";
+      spec.capture_results = true;
+      auto oracle = testing::OracleJoinDigest(catalog, spec);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      auto output = join::ExecuteJoin(machine, catalog, spec);
+      ASSERT_TRUE(output.ok()) << output.status().ToString();
+      ASSERT_TRUE(output->result_digest.has_value());
+      EXPECT_EQ(*output->result_digest, *oracle);
     }
   }
 }

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "sim/machine.h"
+#include "sim/memory_broker.h"
 #include "testing/status_matchers.h"
 
 namespace gammadb::join {
@@ -32,12 +34,27 @@ class JoinHashTableTest : public ::testing::Test {
 
   uint64_t Hash(int32_t k) { return HashJoinAttribute(k); }
 
+  /// A fresh broker whose node-0 budget is `budget` bytes, so a table
+  /// admitting through it holds at most that many.
+  sim::MemoryBroker* Broker(uint64_t budget) {
+    brokers_.emplace_back(1);
+    brokers_.back().AddBudget(0, budget);
+    return &brokers_.back();
+  }
+
+  /// A table on node 0 with its own broker of `capacity` bytes.
+  JoinHashTable Table(uint64_t capacity) {
+    return JoinHashTable(&machine_.node(0), &schema_, 0, capacity,
+                         Broker(capacity));
+  }
+
   sim::Machine machine_;
   storage::Schema schema_;  // 32-byte tuples
+  std::deque<sim::MemoryBroker> brokers_;  // stable addresses
 };
 
 TEST_F(JoinHashTableTest, InsertAndProbe) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 100);
+  JoinHashTable table = Table(32 * 100);
   for (int32_t k = 0; k < 50; ++k) {
     ASSERT_TRUE(table.Insert(MakeTuple(k), Hash(k)));
   }
@@ -54,7 +71,7 @@ TEST_F(JoinHashTableTest, InsertAndProbe) {
 }
 
 TEST_F(JoinHashTableTest, DuplicateKeysAllMatch) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 100);
+  JoinHashTable table = Table(32 * 100);
   for (int i = 0; i < 7; ++i) {
     ASSERT_TRUE(table.Insert(MakeTuple(5), Hash(5)));
   }
@@ -69,7 +86,7 @@ TEST_F(JoinHashTableTest, DuplicateKeysAllMatch) {
 }
 
 TEST_F(JoinHashTableTest, CapacityIsEnforcedInBytes) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 10);
+  JoinHashTable table = Table(32 * 10);
   for (int32_t k = 0; k < 10; ++k) {
     ASSERT_TRUE(table.Insert(MakeTuple(k), Hash(k)));
   }
@@ -78,7 +95,7 @@ TEST_F(JoinHashTableTest, CapacityIsEnforcedInBytes) {
 }
 
 TEST_F(JoinHashTableTest, EvictAtOrAboveRemovesExactlyTheRange) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 1000);
+  JoinHashTable table = Table(32 * 1000);
   for (int32_t k = 0; k < 500; ++k) {
     ASSERT_TRUE(table.Insert(MakeTuple(k), Hash(k)));
   }
@@ -102,7 +119,7 @@ TEST_F(JoinHashTableTest, EvictAtOrAboveRemovesExactlyTheRange) {
 }
 
 TEST_F(JoinHashTableTest, InsertSucceedsAfterEviction) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 10);
+  JoinHashTable table = Table(32 * 10);
   for (int32_t k = 0; k < 10; ++k) {
     ASSERT_TRUE(table.Insert(MakeTuple(k), Hash(k)));
   }
@@ -114,7 +131,7 @@ TEST_F(JoinHashTableTest, InsertSucceedsAfterEviction) {
 }
 
 TEST_F(JoinHashTableTest, ClearEmptiesEverything) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 100);
+  JoinHashTable table = Table(32 * 100);
   for (int32_t k = 0; k < 20; ++k) {
     ASSERT_TRUE(table.Insert(MakeTuple(k), Hash(k)));
   }
@@ -130,7 +147,7 @@ TEST_F(JoinHashTableTest, ClearEmptiesEverything) {
 }
 
 TEST_F(JoinHashTableTest, ProbeChargesCpu) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 100);
+  JoinHashTable table = Table(32 * 100);
   ASSERT_TRUE(table.Insert(MakeTuple(1), Hash(1)));
   const double cpu_before = machine_.node(0).phase_usage().cpu_seconds;
   table.Probe(1, Hash(1), [](const storage::Tuple&) {});
@@ -142,7 +159,7 @@ TEST_F(JoinHashTableTest, ProbeChargesCpu) {
 // Matches for a key are emitted newest-insertion-first (LIFO), the
 // order the original chained layout produced by probing head-first.
 TEST_F(JoinHashTableTest, ProbeEmitsMatchesNewestFirst) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 100);
+  JoinHashTable table = Table(32 * 100);
   for (int i = 0; i < 4; ++i) {
     storage::Tuple t = MakeTuple(9);
     t.SetChars(schema_, 1, std::string(1, static_cast<char>('a' + i)));
@@ -160,8 +177,9 @@ TEST_F(JoinHashTableTest, ProbeEmitsMatchesNewestFirst) {
 TEST_F(JoinHashTableTest, ProbeBatchMatchesScalarProbeExactly) {
   sim::Machine scalar_machine(sim::MachineConfig{1, 0, sim::CostModel{}, 1});
   scalar_machine.BeginPhase("test");
-  JoinHashTable batched(&machine_.node(0), &schema_, 0, 32 * 1000);
-  JoinHashTable scalar(&scalar_machine.node(0), &schema_, 0, 32 * 1000);
+  JoinHashTable batched = Table(32 * 1000);
+  JoinHashTable scalar(&scalar_machine.node(0), &schema_, 0, 32 * 1000,
+                       Broker(32 * 1000));
   // Duplicate keys (k % 17) force multi-match probes and collisions.
   for (int32_t k = 0; k < 200; ++k) {
     ASSERT_TRUE(batched.Insert(MakeTuple(k % 17), Hash(k % 17)));
@@ -194,7 +212,7 @@ TEST_F(JoinHashTableTest, ProbeBatchMatchesScalarProbeExactly) {
 }
 
 TEST_F(JoinHashTableTest, ForEachResidentHashVisitsAll) {
-  JoinHashTable table(&machine_.node(0), &schema_, 0, 32 * 100);
+  JoinHashTable table = Table(32 * 100);
   for (int32_t k = 0; k < 30; ++k) {
     ASSERT_TRUE(table.Insert(MakeTuple(k), Hash(k)));
   }

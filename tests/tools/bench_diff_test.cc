@@ -201,33 +201,6 @@ TEST(BenchDiffTest, RealSecondsIsNotATimeGate) {
   EXPECT_TRUE(DiffBenchJson(baseline, candidate, DiffOptions{}).Passed());
 }
 
-TEST(BenchDiffTest, WallclockSummaryPairsLeavesAndComputesSpeedup) {
-  JsonValue before = Doc(R"({
-    "runs": [{"real_seconds": 30.0, "response_seconds": 5.0}],
-    "extra": {"host": [{"wall_seconds": 4.0}]}
-  })");
-  JsonValue after = Doc(R"({
-    "runs": [{"real_seconds": 10.0, "response_seconds": 5.0}],
-    "extra": {"host": [{"wall_seconds": 2.0}]}
-  })");
-  const std::string table = WallclockSummary(before, after);
-  EXPECT_NE(table.find("runs[0].real_seconds"), std::string::npos);
-  EXPECT_NE(table.find("extra.host[0].wall_seconds"), std::string::npos);
-  EXPECT_NE(table.find("3.00x"), std::string::npos);
-  EXPECT_NE(table.find("2.00x"), std::string::npos);
-  // Simulated time is not a host metric; it stays out of the table.
-  EXPECT_EQ(table.find("response_seconds"), std::string::npos);
-}
-
-TEST(BenchDiffTest, WallclockSummaryMarksUnpairedLeaves) {
-  JsonValue before = Doc(R"({"a": {"real_seconds": 1.0}})");
-  JsonValue after = Doc(R"({"b": {"real_seconds": 2.0}})");
-  const std::string table = WallclockSummary(before, after);
-  EXPECT_NE(table.find("a.real_seconds"), std::string::npos);
-  EXPECT_NE(table.find("b.real_seconds"), std::string::npos);
-  EXPECT_EQ(table.find("x\n"), std::string::npos);  // no speedup column hits
-}
-
 TEST(BenchDiffTest, JsonPointerOfConvertsDiffPaths) {
   EXPECT_EQ(JsonPointerOf("schema_version"), "/schema_version");
   EXPECT_EQ(JsonPointerOf("runs[3].metrics.response_seconds"),

@@ -1,7 +1,6 @@
 // bench_diff: CI regression gate over benchmark JSON documents.
 //
 //   bench_diff [--tolerance <rel>] <baseline.json> <candidate.json>
-//   bench_diff --wallclock-summary <before.json> <after.json>
 //
 // Compares every metric of the baseline against the candidate (schema:
 // docs/benchmarking.md). Exit status: 0 when the candidate passes, 1 on
@@ -10,11 +9,6 @@
 // documents always pass; time metrics (keys ending in "seconds") pass
 // within the relative tolerance; all other numeric metrics are
 // deterministic simulator counters and must match exactly.
-//
-// --wallclock-summary instead prints a side-by-side table of every host
-// wall-clock leaf ("real_seconds" / "wall_seconds") in the two
-// documents with the before/after speedup. Informational only: always
-// exits 0 unless the files fail to parse (docs/performance.md).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +24,7 @@ namespace {
 [[noreturn]] void Usage(const char* argv0, const char* error) {
   std::fprintf(stderr,
                "%s\nusage: %s [--tolerance <rel>] "
-               "[--wallclock-summary] <baseline.json> <candidate.json>\n",
+               "<baseline.json> <candidate.json>\n",
                error, argv0);
   std::exit(2);
 }
@@ -50,7 +44,6 @@ double ParseTolerance(const char* argv0, const char* text) {
 
 int main(int argc, char** argv) {
   gammadb::tools::DiffOptions options;
-  bool wallclock_summary = false;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -59,8 +52,6 @@ int main(int argc, char** argv) {
       options.seconds_tolerance = ParseTolerance(argv[0], argv[++i]);
     } else if (std::strncmp(arg, "--tolerance=", 12) == 0) {
       options.seconds_tolerance = ParseTolerance(argv[0], arg + 12);
-    } else if (std::strcmp(arg, "--wallclock-summary") == 0) {
-      wallclock_summary = true;
     } else if (arg[0] == '-') {
       Usage(argv[0], "unknown flag");
     } else {
@@ -95,13 +86,6 @@ int main(int argc, char** argv) {
   if (!baseline.ok()) return 2;
   auto candidate = read_side("candidate", files[1]);
   if (!candidate.ok()) return 2;
-
-  if (wallclock_summary) {
-    std::fputs(
-        gammadb::tools::WallclockSummary(*baseline, *candidate).c_str(),
-        stdout);
-    return 0;
-  }
 
   const gammadb::tools::DiffReport report =
       gammadb::tools::DiffBenchJson(*baseline, *candidate, options);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/strings.h"
@@ -168,40 +167,6 @@ const char* KindLabel(DiffKind kind) {
   return "?";
 }
 
-// Collects every wall-clock leaf ("real_seconds" / "wall_seconds")
-// into path -> value, in document order.
-void CollectWallclockLeaves(const std::string& path, const JsonValue& value,
-                            std::vector<std::pair<std::string, double>>* out) {
-  if (value.is_object()) {
-    for (const auto& [key, child] : value.AsObject()) {
-      CollectWallclockLeaves(path.empty() ? key : path + "." + key, child,
-                             out);
-    }
-    return;
-  }
-  if (value.is_array()) {
-    const auto& items = value.AsArray();
-    for (size_t i = 0; i < items.size(); ++i) {
-      CollectWallclockLeaves(StrFormat("%s[%zu]", path.c_str(), i), items[i],
-                             out);
-    }
-    return;
-  }
-  const std::string leaf = LeafKey(path);
-  if (value.is_number() &&
-      (leaf == "real_seconds" || leaf == "wall_seconds")) {
-    out->emplace_back(path, value.AsDouble());
-  }
-}
-
-const double* FindLeaf(const std::vector<std::pair<std::string, double>>& v,
-                       const std::string& path) {
-  for (const auto& [p, value] : v) {
-    if (p == path) return &value;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 int DiffReport::CountOf(DiffKind kind) const {
@@ -280,42 +245,6 @@ std::string FormatReport(const DiffReport& report) {
       "%d improvements\n",
       report.compared_metrics, report.regressions(), report.missing(),
       report.extras(), report.CountOf(DiffKind::kImprovement));
-  return out;
-}
-
-std::string WallclockSummary(const JsonValue& before, const JsonValue& after) {
-  std::vector<std::pair<std::string, double>> before_leaves;
-  std::vector<std::pair<std::string, double>> after_leaves;
-  CollectWallclockLeaves("", before, &before_leaves);
-  CollectWallclockLeaves("", after, &after_leaves);
-  size_t width = std::strlen("metric");
-  for (const auto& [path, value] : before_leaves) {
-    width = std::max(width, path.size());
-  }
-  for (const auto& [path, value] : after_leaves) {
-    width = std::max(width, path.size());
-  }
-  std::string out = StrFormat("%-*s %12s %12s %9s\n", static_cast<int>(width),
-                              "metric", "before", "after", "speedup");
-  // Before-document order first, then after-only leaves in their order.
-  for (const auto& [path, base] : before_leaves) {
-    if (const double* cand = FindLeaf(after_leaves, path)) {
-      out += StrFormat("%-*s %12.4f %12.4f %8.2fx\n",
-                       static_cast<int>(width), path.c_str(), base, *cand,
-                       *cand > 0 ? base / *cand : 0.0);
-    } else {
-      out += StrFormat("%-*s %12.4f %12s %9s\n", static_cast<int>(width),
-                       path.c_str(), base, "-", "-");
-    }
-  }
-  for (const auto& [path, cand] : after_leaves) {
-    if (FindLeaf(before_leaves, path) != nullptr) continue;
-    out += StrFormat("%-*s %12s %12.4f %9s\n", static_cast<int>(width),
-                     path.c_str(), "-", cand, "-");
-  }
-  if (before_leaves.empty() && after_leaves.empty()) {
-    out += "(no wall-clock metrics in either document)\n";
-  }
   return out;
 }
 

@@ -77,13 +77,6 @@ DiffReport DiffBenchJson(const JsonValue& baseline, const JsonValue& candidate,
 /// summary line.
 std::string FormatReport(const DiffReport& report);
 
-/// Side-by-side host wall-clock comparison: every "real_seconds" /
-/// "wall_seconds" leaf found in either document, with the before/after
-/// ratio (>1 means the candidate is faster). Purely informational —
-/// wall clock is host-dependent and never gated (the perf-smoke CI job
-/// prints this table as its artifact summary).
-std::string WallclockSummary(const JsonValue& before, const JsonValue& after);
-
 }  // namespace gammadb::tools
 
 #endif  // GAMMA_TOOLS_BENCH_DIFF_LIB_H_
