@@ -99,8 +99,10 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   }
 
   const uint32_t page_bytes = machine.cost().page_bytes;
-  const uint32_t sort_pages_per_node = static_cast<uint32_t>(std::max<uint64_t>(
-      3, params.memory_bytes / d / page_bytes));
+  // Clamped before the narrowing cast: a budget of 2^32 pages or more
+  // per node must not wrap to the 3-page minimum.
+  const auto sort_pages_per_node = static_cast<uint32_t>(std::clamp<uint64_t>(
+      params.memory_bytes / d / page_bytes, 3, UINT32_MAX));
 
   std::vector<SiteState> sites(d);
   for (size_t di = 0; di < d; ++di) {

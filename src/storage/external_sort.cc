@@ -1,7 +1,6 @@
 #include "storage/external_sort.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/logging.h"
 #include "storage/page.h"
@@ -10,85 +9,107 @@ namespace gammadb::storage {
 
 namespace {
 
-/// Cursor over one sorted run; caches the current tuple and its key.
+/// Cursor over one sorted run. The current record is a view into the
+/// run's page, valid until the run is freed.
 class RunCursor {
  public:
-  RunCursor(const HeapFile* file, const Schema* schema, int key_field)
-      : scanner_(file->Scan()), schema_(schema), key_field_(key_field) {
-    Advance();
+  RunCursor(const HeapFile* file, size_t key_field)
+      : file_(file), scanner_(file->Scan()), key_field_(key_field) {}
+
+  /// Steps to the next record, charging page I/O and then the record
+  /// read, as Scanner::Next does. False at end of run or on a page-read
+  /// failure (see status()).
+  bool Advance() {
+    if (next_ >= block_.size()) {
+      if (!scanner_.NextBlock(&block_)) return false;
+      next_ = 0;
+    }
+    file_->node()->ChargeCpu(file_->node()->cost().cpu_read_tuple_seconds,
+                             sim::CostCategory::kReadTuple);
+    record_ = block_.view(next_++).data;
+    return true;
   }
 
-  bool valid() const { return valid_; }
-  int32_t key() const { return key_; }
-  const Tuple& tuple() const { return current_; }
+  const uint8_t* record() const { return record_; }
+  int32_t key() const { return file_->schema().GetInt32(record_, key_field_); }
   /// Non-OK when the cursor stopped on a page-read failure rather than
   /// at end of run.
   const Status& status() const { return scanner_.status(); }
 
-  void Advance() {
-    valid_ = scanner_.Next(&current_);
-    if (valid_) key_ = current_.GetInt32(*schema_, static_cast<size_t>(key_field_));
-  }
-
  private:
+  const HeapFile* file_;
   HeapFile::Scanner scanner_;
-  const Schema* schema_;
-  int key_field_;
-  Tuple current_;
-  int32_t key_ = 0;
-  bool valid_ = false;
+  size_t key_field_;
+  TupleBlock block_;
+  size_t next_ = 0;
+  const uint8_t* record_ = nullptr;
 };
 
 /// k-way merge over run cursors; comparator invocations are counted so
-/// real comparison work is charged, not an estimate.
+/// real comparison work is charged, not an estimate. The heap carries
+/// each cursor's current key, so a compare reads no record.
 class MergeStream : public TupleStream {
  public:
-  MergeStream(sim::Node* node, const Schema* schema, int key_field,
+  MergeStream(sim::Node* node, size_t key_field, uint32_t tuple_bytes,
               std::vector<HeapFile>* runs)
-      : node_(node) {
+      : node_(node), tuple_bytes_(tuple_bytes) {
     cursors_.reserve(runs->size());
     for (HeapFile& run : *runs) {
-      cursors_.emplace_back(
-          std::make_unique<RunCursor>(&run, schema, key_field));
-      if (!cursors_.back()->valid()) {
-        if (!cursors_.back()->status().ok() && status_.ok()) {
-          status_ = cursors_.back()->status();
-        }
+      RunCursor& cursor = cursors_.emplace_back(&run, key_field);
+      if (cursor.Advance()) {
+        heap_.push_back(
+            {cursor.key(), static_cast<uint32_t>(cursors_.size() - 1)});
+      } else {
+        if (!cursor.status().ok() && status_.ok()) status_ = cursor.status();
         cursors_.pop_back();
       }
     }
-    for (size_t i = 0; i < cursors_.size(); ++i) heap_.push_back(i);
-    const auto greater = [this](size_t a, size_t b) {
-      ++compares_;
-      return cursors_[a]->key() > cursors_[b]->key();
-    };
-    std::make_heap(heap_.begin(), heap_.end(), greater);
+    std::make_heap(heap_.begin(), heap_.end(), Greater{&compares_});
+  }
+
+  /// The next record in key order, as a view into its run's page.
+  bool NextRecord(const uint8_t** record) {
+    ChargeCompares();
+    if (!status_.ok() || heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Greater{&compares_});
+    HeapItem& top = heap_.back();
+    RunCursor& cursor = cursors_[top.cursor];
+    *record = cursor.record();
+    if (cursor.Advance()) {
+      top.key = cursor.key();
+      std::push_heap(heap_.begin(), heap_.end(), Greater{&compares_});
+    } else {
+      heap_.pop_back();
+      if (!cursor.status().ok()) status_ = cursor.status();
+    }
+    ChargeCompares();
+    return true;
   }
 
   bool Next(Tuple* out) override {
-    ChargeCompares();
-    if (!status_.ok() || heap_.empty()) return false;
-    const auto greater = [this](size_t a, size_t b) {
-      ++compares_;
-      return cursors_[a]->key() > cursors_[b]->key();
-    };
-    std::pop_heap(heap_.begin(), heap_.end(), greater);
-    const size_t idx = heap_.back();
-    *out = cursors_[idx]->tuple();
-    cursors_[idx]->Advance();
-    if (cursors_[idx]->valid()) {
-      std::push_heap(heap_.begin(), heap_.end(), greater);
-    } else {
-      heap_.pop_back();
-      if (!cursors_[idx]->status().ok()) status_ = cursors_[idx]->status();
-    }
-    ChargeCompares();
+    const uint8_t* record = nullptr;
+    if (!NextRecord(&record)) return false;
+    out->Assign(record, tuple_bytes_);
     return true;
   }
 
   Status status() const override { return status_; }
 
  private:
+  struct HeapItem {
+    int32_t key;
+    uint32_t cursor;
+  };
+
+  /// The heap order (a min-heap on key), counting each call.
+  struct Greater {
+    size_t* compares;
+    bool operator()(const HeapItem& a, const HeapItem& b) const {
+      ++*compares;
+      return a.key > b.key;
+    }
+  };
+
   void ChargeCompares() {
     if (compares_ > 0) {
       node_->ChargeCpu(static_cast<double>(compares_) *
@@ -99,80 +120,96 @@ class MergeStream : public TupleStream {
   }
 
   sim::Node* node_;
-  std::vector<std::unique_ptr<RunCursor>> cursors_;
-  std::vector<size_t> heap_;
+  uint32_t tuple_bytes_;
+  std::vector<RunCursor> cursors_;
+  std::vector<HeapItem> heap_;
   Status status_;
   size_t compares_ = 0;
 };
 
-/// Stream over a fully in-memory sorted buffer.
-class VectorStream : public TupleStream {
+}  // namespace
+
+/// Stream over a fully in-memory sorted buffer: the arena's records in
+/// entry order.
+class ExternalSort::ArenaStream : public TupleStream {
  public:
-  explicit VectorStream(std::vector<Tuple> tuples)
-      : tuples_(std::move(tuples)) {}
+  ArenaStream(std::vector<uint8_t> arena, std::vector<SortEntry> entries,
+              uint32_t tuple_bytes)
+      : arena_(std::move(arena)),
+        entries_(std::move(entries)),
+        tuple_bytes_(tuple_bytes) {}
 
   bool Next(Tuple* out) override {
-    if (next_ >= tuples_.size()) return false;
-    *out = std::move(tuples_[next_++]);
+    if (next_ >= entries_.size()) return false;
+    out->Assign(arena_.data() +
+                    static_cast<size_t>(entries_[next_++].slot) * tuple_bytes_,
+                tuple_bytes_);
     return true;
   }
 
  private:
-  std::vector<Tuple> tuples_;
+  std::vector<uint8_t> arena_;
+  std::vector<SortEntry> entries_;
+  uint32_t tuple_bytes_;
   size_t next_ = 0;
 };
-
-}  // namespace
 
 ExternalSort::ExternalSort(sim::Node* node, const Schema* schema,
                            int key_field, uint32_t memory_pages)
     : node_(node),
       schema_(schema),
-      key_field_(key_field),
+      key_field_(static_cast<size_t>(key_field)),
+      tuple_bytes_(schema->tuple_bytes()),
       memory_pages_(std::max(3u, memory_pages)) {
   GAMMA_CHECK(key_field >= 0 &&
               static_cast<size_t>(key_field) < schema->num_fields());
   GAMMA_CHECK(schema->field(static_cast<size_t>(key_field)).type ==
               FieldType::kInt32)
       << "sort key must be an int32 field";
-  buffer_capacity_tuples_ =
-      static_cast<size_t>(memory_pages_) *
-      PageCapacity(node->cost().page_bytes, schema->tuple_bytes());
-  buffer_.reserve(buffer_capacity_tuples_);
+  buffer_capacity_tuples_ = std::min<uint64_t>(
+      UINT32_MAX, static_cast<uint64_t>(memory_pages_) *
+                      PageCapacity(node->cost().page_bytes, tuple_bytes_));
 }
 
 ExternalSort::~ExternalSort() {
   for (HeapFile& run : runs_) run.Free();
 }
 
-Status ExternalSort::Add(const Tuple& tuple) {
-  GAMMA_CHECK(!finished_);
-  buffer_.push_back(tuple);
+Status ExternalSort::Buffer(const uint8_t* record) {
+  entries_.push_back(
+      {schema_->GetInt32(record, key_field_),
+       static_cast<uint32_t>(entries_.size())});
+  arena_.insert(arena_.end(), record, record + tuple_bytes_);
   ++tuple_count_;
-  if (buffer_.size() >= buffer_capacity_tuples_) {
+  if (entries_.size() >= buffer_capacity_tuples_) {
     GAMMA_RETURN_IF_ERROR(SpillRun());
   }
   return Status::OK();
+}
+
+Status ExternalSort::Add(const Tuple& tuple) {
+  GAMMA_CHECK(!finished_);
+  GAMMA_DCHECK(tuple.size() == tuple_bytes_);
+  return Buffer(tuple.data());
 }
 
 Status ExternalSort::AddFile(const HeapFile& file) {
   // Block-granular ingest: the per-tuple read CPU the scalar scan
   // charged is charged here per view (same order, including around
   // mid-block spills), and each tuple is copied ONCE — page image
-  // straight into the sort buffer, with no intermediate Tuple.
+  // straight into the arena, with no intermediate Tuple.
+  GAMMA_CHECK(!finished_);
+  const size_t records = std::min(buffer_capacity_tuples_,
+                                  entries_.size() + file.tuple_count());
+  entries_.reserve(records);
+  arena_.reserve(records * tuple_bytes_);
   auto scanner = file.Scan();
   TupleBlock block;
   while (scanner.NextBlock(&block)) {
     for (size_t i = 0; i < block.size(); ++i) {
       node_->ChargeCpu(node_->cost().cpu_read_tuple_seconds,
                        sim::CostCategory::kReadTuple);
-      GAMMA_CHECK(!finished_);
-      const TupleView v = block.view(i);
-      buffer_.emplace_back(v.data, v.size);
-      ++tuple_count_;
-      if (buffer_.size() >= buffer_capacity_tuples_) {
-        GAMMA_RETURN_IF_ERROR(SpillRun());
-      }
+      GAMMA_RETURN_IF_ERROR(Buffer(block.view(i).data));
     }
   }
   return scanner.status();
@@ -180,11 +217,10 @@ Status ExternalSort::AddFile(const HeapFile& file) {
 
 void ExternalSort::SortBuffer() {
   size_t compares = 0;
-  const size_t key = static_cast<size_t>(key_field_);
-  std::sort(buffer_.begin(), buffer_.end(),
-            [this, &compares, key](const Tuple& a, const Tuple& b) {
+  std::sort(entries_.begin(), entries_.end(),
+            [&compares](const SortEntry& a, const SortEntry& b) {
               ++compares;
-              return a.GetInt32(*schema_, key) < b.GetInt32(*schema_, key);
+              return a.key < b.key;
             });
   node_->ChargeCpu(
       static_cast<double>(compares) * node_->cost().cpu_sort_compare_seconds,
@@ -192,12 +228,13 @@ void ExternalSort::SortBuffer() {
 }
 
 Status ExternalSort::SpillRun() {
-  if (buffer_.empty()) return Status::OK();
+  if (entries_.empty()) return Status::OK();
   SortBuffer();
   HeapFile run(node_, schema_, "sort-run");
   Status st;
-  for (const Tuple& t : buffer_) {
-    st = run.Append(t);
+  for (const SortEntry& e : entries_) {
+    st = run.AppendRecord(arena_.data() +
+                          static_cast<size_t>(e.slot) * tuple_bytes_);
     if (!st.ok()) break;
   }
   if (st.ok()) st = run.FlushAppends();
@@ -206,17 +243,18 @@ Status ExternalSort::SpillRun() {
     return st;
   }
   runs_.push_back(std::move(run));
-  buffer_.clear();
+  entries_.clear();
+  arena_.clear();
   return Status::OK();
 }
 
 Status ExternalSort::MergeGroupInto(std::vector<HeapFile>&& group,
                                     HeapFile* out) {
-  MergeStream merge(node_, schema_, key_field_, &group);
-  Tuple t;
+  MergeStream merge(node_, key_field_, tuple_bytes_, &group);
+  const uint8_t* record = nullptr;
   Status st;
-  while (merge.Next(&t)) {
-    st = out->Append(t);
+  while (merge.NextRecord(&record)) {
+    st = out->AppendRecord(record);
     if (!st.ok()) break;
   }
   if (st.ok()) st = merge.status();
@@ -288,9 +326,11 @@ std::unique_ptr<TupleStream> ExternalSort::OpenStream() {
   GAMMA_CHECK(!streamed_) << "OpenStream() may only be called once";
   streamed_ = true;
   if (runs_.empty()) {
-    return std::make_unique<VectorStream>(std::move(buffer_));
+    return std::make_unique<ArenaStream>(std::move(arena_),
+                                         std::move(entries_), tuple_bytes_);
   }
-  return std::make_unique<MergeStream>(node_, schema_, key_field_, &runs_);
+  return std::make_unique<MergeStream>(node_, key_field_, tuple_bytes_,
+                                       &runs_);
 }
 
 }  // namespace gammadb::storage

@@ -14,6 +14,17 @@
 //
 // The number of merge passes grows stepwise as memory shrinks, which is
 // exactly the staircase in the paper's sort-merge response-time curves.
+//
+// Host-side layout (docs/performance.md, "The sort path"): the buffer is
+// one arena of records stored back to back plus 8-byte {key, slot}
+// entries, and run formation sorts the entries, never the records.
+// std::sort's moves depend only on its comparator's answers, so the
+// entry sort makes the same comparator calls as a sort of whole tuples
+// and leaves equal keys in the same order: the kSortCompare charge and
+// the run contents are those of the tuple sort. Merges read their runs
+// through page views (HeapFile::Scanner::NextBlock), valid until the
+// run is freed; a merged record is copied once, into the output page or
+// into the final stream's Tuple.
 #ifndef GAMMA_STORAGE_EXTERNAL_SORT_H_
 #define GAMMA_STORAGE_EXTERNAL_SORT_H_
 
@@ -31,6 +42,8 @@ class ExternalSort {
  public:
   /// Sorts ascending by the int32 field `key_field`. `memory_pages` is
   /// the sort/merge workspace (>= 3: one output + two input buffers).
+  /// The buffer is allocated as input arrives, so a huge budget costs
+  /// no more memory than the input.
   ExternalSort(sim::Node* node, const Schema* schema, int key_field,
                uint32_t memory_pages);
   ~ExternalSort();
@@ -69,6 +82,15 @@ class ExternalSort {
   size_t tuple_count() const { return tuple_count_; }
 
  private:
+  /// One buffered record: its sort key and its slot in `arena_`.
+  struct SortEntry {
+    int32_t key;
+    uint32_t slot;
+  };
+  class ArenaStream;
+
+  /// Copies one record into the buffer; spills a run when it fills.
+  Status Buffer(const uint8_t* record);
   void SortBuffer();
   Status SpillRun();
   /// Merges `group` into `out` (a fresh run); frees the inputs on
@@ -77,11 +99,13 @@ class ExternalSort {
 
   sim::Node* node_;
   const Schema* schema_;
-  int key_field_;
+  size_t key_field_;
+  uint32_t tuple_bytes_;
   uint32_t memory_pages_;
-  size_t buffer_capacity_tuples_;
+  size_t buffer_capacity_tuples_;  // < 2^32, so every slot fits
 
-  std::vector<Tuple> buffer_;
+  std::vector<uint8_t> arena_;      // buffered records, back to back
+  std::vector<SortEntry> entries_;  // one per buffered record
   std::vector<HeapFile> runs_;
   size_t tuple_count_ = 0;
   uint64_t intermediate_merged_tuples_ = 0;

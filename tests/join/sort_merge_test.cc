@@ -143,5 +143,47 @@ TEST_F(SortMergeJoinTest, FilterSavesSortAndMergeWork) {
   EXPECT_LT(filtered.response_seconds(), plain.response_seconds());
 }
 
+TEST(SortMergeBudgetTest, HugeBudgetSortsInMemoryAtAnyThreadCount) {
+  // A budget far above the input must sort in memory, like ratio 1000
+  // does, and allocate no more than the input: ratio 1e7 asks for
+  // ~31.7M sort pages per node, and 2^32 pages per node must not wrap
+  // to the 3-page minimum.
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE(threads);
+    sim::MachineConfig config = testing::SmallConfig(8);
+    config.num_threads = threads;
+    sim::Machine machine(config);
+    db::Catalog catalog;
+    wisconsin::DatasetOptions options;
+    options.outer_cardinality = 10000;
+    options.inner_cardinality = 1000;
+    ASSERT_TRUE(wisconsin::LoadJoinABprime(machine, catalog, options).ok());
+    const auto join = [&](const std::function<void(JoinSpec&)>& mutate) {
+      JoinSpec spec;
+      spec.inner_relation = "Bprime";
+      spec.outer_relation = "A";
+      spec.algorithm = Algorithm::kSortMerge;
+      spec.result_name = "sm_result";
+      mutate(spec);
+      auto output = ExecuteJoin(machine, catalog, spec);
+      GAMMA_CHECK(output.ok()) << output.status().ToString();
+      GAMMA_CHECK_OK(catalog.Drop("sm_result"));
+      return std::move(output).value();
+    };
+    const JoinOutput reference =
+        join([](JoinSpec& s) { s.memory_ratio = 1000; });
+    const uint64_t pages_2_32 =
+        (uint64_t{1} << 32) * machine.cost().page_bytes * 8;
+    for (const JoinOutput& output :
+         {reference, join([](JoinSpec& s) { s.memory_ratio = 1e7; }),
+          join([&](JoinSpec& s) { s.memory_bytes = pages_2_32; })}) {
+      EXPECT_EQ(output.stats.result_tuples, 1000u);
+      EXPECT_EQ(output.stats.inner_sort_passes, 0);
+      EXPECT_EQ(output.stats.outer_sort_passes, 0);
+      EXPECT_EQ(output.response_seconds(), reference.response_seconds());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gammadb::join

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "common/random.h"
 #include "sim/machine.h"
@@ -40,7 +41,8 @@ class ExternalSortPropertyTest : public ::testing::TestWithParam<SortParam> {
  protected:
   ExternalSortPropertyTest()
       : machine_(sim::MachineConfig{1, 0, sim::CostModel{}, 1}),
-        schema_({Field::Int32("k"), Field::Char("pad", 60)}) {}
+        schema_({Field::Int32("k"), Field::Int32("ordinal"),
+                 Field::Char("pad", 56)}) {}
 
   sim::Machine machine_;
   Schema schema_;
@@ -80,22 +82,36 @@ TEST_P(ExternalSortPropertyTest, MatchesReferenceSort) {
 
   machine_.BeginPhase("sort");
   ExternalSort sort(&machine_.node(0), &schema_, 0, memory_pages);
+  // Each tuple carries its input ordinal, so a sort that paired a key
+  // with another record's payload would show.
+  std::vector<std::pair<int32_t, int32_t>> input;
+  input.reserve(values.size());
   for (int32_t v : values) {
+    const auto ordinal = static_cast<int32_t>(input.size());
+    input.emplace_back(v, ordinal);
     Tuple t(schema_.tuple_bytes());
     t.SetInt32(schema_, 0, v);
+    t.SetInt32(schema_, 1, ordinal);
     GAMMA_ASSERT_OK(sort.Add(t));
   }
   GAMMA_ASSERT_OK(sort.FinishInput());
-  std::vector<int32_t> output;
+  std::vector<std::pair<int32_t, int32_t>> output;
   output.reserve(values.size());
   auto stream = sort.OpenStream();
   Tuple t;
-  while (stream->Next(&t)) output.push_back(t.GetInt32(schema_, 0));
+  while (stream->Next(&t)) {
+    output.emplace_back(t.GetInt32(schema_, 0), t.GetInt32(schema_, 1));
+  }
   GAMMA_ASSERT_OK(machine_.EndPhase());
 
-  std::vector<int32_t> expected = values;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(output, expected);
+  // Keys ascend, and the (key, ordinal) pairs are the input's.
+  EXPECT_TRUE(std::is_sorted(
+      output.begin(), output.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
+  std::vector<std::pair<int32_t, int32_t>> sorted_output = output;
+  std::sort(sorted_output.begin(), sorted_output.end());
+  std::sort(input.begin(), input.end());
+  EXPECT_EQ(sorted_output, input);
 
   // I/O balance: every page written for runs/merges is read back
   // exactly once (runs are read once during merges or the final

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "common/random.h"
 #include "sim/machine.h"
@@ -60,6 +61,60 @@ TEST_F(ExternalSortTest, InMemorySortWhenInputFits) {
   EXPECT_EQ(out, (std::vector<int32_t>{1, 2, 3, 4, 5}));
   // In-memory sort touches no disk.
   EXPECT_EQ(machine_.Metrics().counters.pages_written, 0);
+}
+
+TEST_F(ExternalSortTest, InMemoryOrderAndChargeMatchTupleSort) {
+  // Run formation sorts {key, slot} entries, not tuples. std::sort's
+  // moves depend only on its comparator's answers, so the entry sort
+  // must leave equal keys in the tuple sort's order and make the same
+  // number of comparator calls.
+  const Schema schema(
+      {Field::Int32("k"), Field::Int32("ordinal"), Field::Char("pad", 200)});
+  for (int n : {0, 1, 17, 500, 5000}) {
+    SCOPED_TRACE(n);
+    Rng rng(static_cast<uint64_t>(n) + 11);
+    std::vector<Tuple> input;
+    for (int i = 0; i < n; ++i) {
+      Tuple t(schema.tuple_bytes());
+      t.SetInt32(schema, 0, static_cast<int32_t>(rng.Uniform(7)));
+      t.SetInt32(schema, 1, i);
+      input.push_back(t);
+    }
+    std::vector<Tuple> expected = input;
+    size_t compares = 0;
+    std::sort(expected.begin(), expected.end(),
+              [&](const Tuple& a, const Tuple& b) {
+                ++compares;
+                return a.GetInt32(schema, 0) < b.GetInt32(schema, 0);
+              });
+
+    machine_.BeginPhase("sort");
+    ExternalSort sort(&machine_.node(0), &schema, 0, /*memory_pages=*/256);
+    for (const Tuple& t : input) GAMMA_ASSERT_OK(sort.Add(t));
+    GAMMA_ASSERT_OK(sort.FinishInput());
+    ASSERT_EQ(sort.run_count(), 0u);  // in memory
+    std::vector<Tuple> output;
+    auto stream = sort.OpenStream();
+    Tuple t;
+    while (stream->Next(&t)) output.push_back(t);
+    GAMMA_ASSERT_OK(machine_.EndPhase());
+
+    const auto key_and_ordinal = [&schema](const std::vector<Tuple>& tuples) {
+      std::vector<std::pair<int32_t, int32_t>> pairs;
+      for (const Tuple& u : tuples) {
+        pairs.emplace_back(u.GetInt32(schema, 0), u.GetInt32(schema, 1));
+      }
+      return pairs;
+    };
+    EXPECT_EQ(key_and_ordinal(output), key_and_ordinal(expected));
+    EXPECT_TRUE(output == expected);  // byte for byte
+    const sim::RunMetrics metrics = machine_.Metrics();
+    const sim::NodeUsage& usage = metrics.phases.back().usage[0];
+    EXPECT_EQ(usage.by_category[static_cast<size_t>(
+                  sim::CostCategory::kSortCompare)],
+              static_cast<double>(compares) *
+                  machine_.cost().cpu_sort_compare_seconds);
+  }
 }
 
 TEST_F(ExternalSortTest, ExternalSortProducesSortedOutput) {
@@ -176,6 +231,36 @@ TEST_F(ExternalSortTest, SpillWriteFailurePropagatesAndLeaksNothing) {
   machine_.EndPhase().IgnoreError();
   // The failed spill and the sort destructor released every page.
   EXPECT_EQ(machine_.node(0).disk().live_pages(), 0u);
+}
+
+TEST_F(ExternalSortTest, IntermediateMergeReadFaultPropagatesAndLeaksNothing) {
+  // 500 tuples in 3 pages: five 120-tuple runs and a fan-in of 2, so
+  // FinishInput merges (reading its runs through page views) before
+  // any stream opens. Run formation reads nothing, so every faulted
+  // read ordinal falls in an intermediate merge.
+  for (const uint64_t ordinal : {1u, 2u, 5u, 9u}) {
+    SCOPED_TRACE(ordinal);
+    sim::Machine machine(sim::MachineConfig{1, 0, sim::CostModel{}, 1});
+    sim::FaultPlan plan;
+    sim::FaultEvent e;
+    e.kind = sim::FaultKind::kDiskReadTransient;
+    e.ordinal = ordinal;
+    e.repeat = sim::Disk::kMaxIoAttempts;
+    plan.Add(e);
+    machine.ArmFaults(plan);
+
+    machine.BeginPhase("sort");
+    {
+      ExternalSort sort(&machine.node(0), &schema_, 0, 3);
+      for (int32_t i = 0; i < 500; ++i) {
+        GAMMA_ASSERT_OK(sort.Add(MakeTuple(499 - i)));
+      }
+      EXPECT_EQ(sort.FinishInput().code(), StatusCode::kUnavailable);
+    }
+    machine.EndPhase().IgnoreError();
+    // The failed merge's output and every input run were released.
+    EXPECT_EQ(machine.node(0).disk().live_pages(), 0u);
+  }
 }
 
 TEST_F(ExternalSortTest, StreamSurfacesHardReadFaultDuringMerge) {
