@@ -57,45 +57,6 @@ std::vector<storage::Tuple> StoredRelation::PeekAllTuples() const {
 
 void StoredRelation::FreeStorage() {
   for (auto& f : fragments_) f->Free();
-  DropIndexes();
-}
-
-Status StoredRelation::BuildIndex(sim::Machine& machine, int field) {
-  if (field < 0 || static_cast<size_t>(field) >= schema_.num_fields()) {
-    return Status::InvalidArgument("index field out of range");
-  }
-  if (schema_.field(static_cast<size_t>(field)).type !=
-      storage::FieldType::kInt32) {
-    return Status::InvalidArgument("index field must be int32");
-  }
-  DropIndexes();
-  indexes_.resize(fragments_.size());
-  machine.BeginPhase("build index " + name_);
-  machine.RunOnNodes(home_nodes_, [&](sim::Node& n) {
-    size_t fi = 0;
-    for (size_t i = 0; i < home_nodes_.size(); ++i) {
-      if (home_nodes_[i] == n.id()) fi = i;
-    }
-    auto index = std::make_unique<storage::BPlusTree>(&n);
-    fragments_[fi]->ForEachRid([&](uint64_t rid, const uint8_t* record) {
-      index->Insert(schema_.GetInt32(record, static_cast<size_t>(field)),
-                    rid);
-    });
-    indexes_[fi] = std::move(index);
-  });
-  machine.EndPhase().IgnoreError();
-  indexed_field_ = field;
-  return Status::OK();
-}
-
-const storage::BPlusTree& StoredRelation::fragment_index(size_t i) const {
-  GAMMA_CHECK(has_index());
-  return *indexes_[i];
-}
-
-void StoredRelation::DropIndexes() {
-  indexes_.clear();
-  indexed_field_ = -1;
 }
 
 Result<StoredRelation*> Catalog::Create(sim::Machine& machine,

@@ -12,7 +12,6 @@
 
 #include "common/status.h"
 #include "sim/machine.h"
-#include "storage/btree.h"
 #include "storage/heap_file.h"
 #include "storage/schema.h"
 
@@ -54,23 +53,6 @@ class StoredRelation {
   /// Releases all fragment pages.
   void FreeStorage();
 
-  // --- WiSS B+ indices ----------------------------------------------------
-
-  /// Builds one B+-tree per fragment over the given int32 field
-  /// (key -> record id). One index per relation; rebuilding replaces
-  /// it. Index construction scans every fragment (charged).
-  Status BuildIndex(sim::Machine& machine, int field);
-
-  bool has_index() const { return indexed_field_ >= 0; }
-  int indexed_field() const { return indexed_field_; }
-
-  /// Index of fragment i; requires has_index().
-  const storage::BPlusTree& fragment_index(size_t i) const;
-
-  /// Indices become stale after in-place updates or deletes; DML
-  /// operators call this.
-  void DropIndexes();
-
   // Declustering metadata (set by the loader).
   PartitionStrategy strategy = PartitionStrategy::kRoundRobin;
   int partition_field = -1;
@@ -81,8 +63,6 @@ class StoredRelation {
   storage::Schema schema_;
   std::vector<int> home_nodes_;
   std::vector<std::unique_ptr<storage::HeapFile>> fragments_;
-  int indexed_field_ = -1;
-  std::vector<std::unique_ptr<storage::BPlusTree>> indexes_;
 };
 
 class Catalog {

@@ -43,8 +43,6 @@ struct CostModel {
   double cpu_build_result_seconds = 0.00200;
   /// Evaluate a selection predicate.
   double cpu_predicate_seconds = 0.00030;
-  /// Update one aggregate accumulator (group lookup + fold).
-  double cpu_aggregate_seconds = 0.00040;
   /// Set or test one bit-vector-filter bit.
   double cpu_filter_op_seconds = 0.00018;
 

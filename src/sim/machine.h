@@ -30,7 +30,7 @@ class Tracer;
 struct MachineConfig {
   /// Processors with attached disk drives (Gamma default: 8).
   int num_disk_nodes = 8;
-  /// Diskless processors available for join/aggregate work.
+  /// Diskless processors available for join work.
   int num_diskless_nodes = 0;
   CostModel cost;
   /// 1 = deterministic serial execution (default); >1 = thread pool.

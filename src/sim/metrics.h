@@ -37,7 +37,6 @@ enum class CostCategory : uint8_t {
   kSortCompare,   // compares inside sort run formation / merge
   kBuildResult,   // composing a result tuple
   kPredicate,     // selection predicate evaluation
-  kAggregate,     // aggregate accumulator update
   kFilterOp,      // bit-vector-filter set/test
   kNetSend,       // remote-packet send protocol CPU
   kNetRecv,       // remote-packet receive protocol CPU
@@ -66,7 +65,6 @@ inline const char* CostCategoryName(CostCategory category) {
     case CostCategory::kSortCompare: return "sort_compare";
     case CostCategory::kBuildResult: return "build_result";
     case CostCategory::kPredicate: return "predicate";
-    case CostCategory::kAggregate: return "aggregate";
     case CostCategory::kFilterOp: return "filter_op";
     case CostCategory::kNetSend: return "net_send";
     case CostCategory::kNetRecv: return "net_recv";

@@ -67,7 +67,6 @@ void HeapFile::Free() {
   pages_.clear();
   tuple_count_ = 0;
   writer_.reset();
-  fetch_buf_page_ = SIZE_MAX;
 }
 
 HeapFile::Scanner::Scanner(const HeapFile* file) : file_(file) {
@@ -115,90 +114,6 @@ bool HeapFile::Scanner::NextBlock(TupleBlock* block) {
     ++next_slot_;
   }
   return true;
-}
-
-size_t HeapFile::UpdateInPlace(const std::function<UpdateAction(uint8_t*)>& fn) {
-  GAMMA_CHECK(writer_ == nullptr || writer_->count() == 0)
-      << "UpdateInPlace on '" << name_ << "' with unflushed appends";
-  const uint32_t record_bytes = schema_->tuple_bytes();
-  const uint32_t page_bytes = node_->cost().page_bytes;
-  std::vector<uint8_t> page(page_bytes);
-  size_t touched = 0;
-  for (sim::PageId id : pages_) {
-    // DML paths are outside the fault-injection recovery scope
-    // (docs/fault_injection.md): a hard injected I/O error here aborts.
-    GAMMA_CHECK_OK(
-        node_->disk().ReadPage(id, page.data(), sim::AccessPattern::kSequential));
-    PageReader reader(page.data(), record_bytes);
-    PageWriter rebuilt(page_bytes, record_bytes);
-    bool modified = false;
-    for (uint16_t slot = 0; slot < reader.count(); ++slot) {
-      // Mutable access into our local page image.
-      uint8_t* record = page.data() + kPageHeaderBytes +
-                        static_cast<size_t>(slot) * record_bytes;
-      node_->ChargeCpu(node_->cost().cpu_read_tuple_seconds,
-                       sim::CostCategory::kReadTuple);
-      switch (fn(record)) {
-        case UpdateAction::kKeep:
-          rebuilt.Append(record);
-          break;
-        case UpdateAction::kUpdated:
-          node_->ChargeCpu(node_->cost().cpu_write_tuple_seconds,
-                           sim::CostCategory::kWriteTuple);
-          rebuilt.Append(record);
-          ++touched;
-          modified = true;
-          break;
-        case UpdateAction::kDelete:
-          ++touched;
-          --tuple_count_;
-          modified = true;
-          break;
-      }
-    }
-    if (modified) {
-      GAMMA_CHECK_OK(node_->disk().WritePage(id, rebuilt.Finish(),
-                                             sim::AccessPattern::kSequential));
-    }
-  }
-  fetch_buf_page_ = SIZE_MAX;  // cached page may be stale
-  return touched;
-}
-
-Tuple HeapFile::FetchByRid(uint64_t rid) const {
-  const size_t page_index = static_cast<size_t>(rid >> 16);
-  const uint16_t slot = static_cast<uint16_t>(rid & 0xFFFF);
-  GAMMA_CHECK_LT(page_index, pages_.size());
-  if (fetch_buf_page_ != page_index) {
-    fetch_buf_.resize(node_->cost().page_bytes);
-    // Index access paths are outside the fault-injection recovery scope.
-    GAMMA_CHECK_OK(node_->disk().ReadPage(pages_[page_index], fetch_buf_.data(),
-                                          sim::AccessPattern::kRandom));
-    fetch_buf_page_ = page_index;
-  }
-  PageReader reader(fetch_buf_.data(), schema_->tuple_bytes());
-  GAMMA_CHECK_LT(slot, reader.count());
-  node_->ChargeCpu(node_->cost().cpu_read_tuple_seconds,
-                   sim::CostCategory::kReadTuple);
-  return Tuple(reader.Record(slot), schema_->tuple_bytes());
-}
-
-void HeapFile::ForEachRid(
-    const std::function<void(uint64_t, const uint8_t*)>& fn) const {
-  GAMMA_CHECK(writer_ == nullptr || writer_->count() == 0)
-      << "ForEachRid with unflushed appends";
-  std::vector<uint8_t> page(node_->cost().page_bytes);
-  for (size_t page_index = 0; page_index < pages_.size(); ++page_index) {
-    // Index bulk-build is outside the fault-injection recovery scope.
-    GAMMA_CHECK_OK(node_->disk().ReadPage(pages_[page_index], page.data(),
-                                          sim::AccessPattern::kSequential));
-    PageReader reader(page.data(), schema_->tuple_bytes());
-    for (uint16_t slot = 0; slot < reader.count(); ++slot) {
-      node_->ChargeCpu(node_->cost().cpu_read_tuple_seconds,
-                       sim::CostCategory::kReadTuple);
-      fn(MakeRid(page_index, slot), reader.Record(slot));
-    }
-  }
 }
 
 std::vector<Tuple> HeapFile::PeekAll() const {

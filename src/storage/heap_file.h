@@ -9,7 +9,6 @@
 #ifndef GAMMA_STORAGE_HEAP_FILE_H_
 #define GAMMA_STORAGE_HEAP_FILE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,37 +116,6 @@ class HeapFile {
   /// and result verification only.
   std::vector<Tuple> PeekAll() const;
 
-  /// What an UpdateInPlace callback decided about one record.
-  enum class UpdateAction { kKeep, kUpdated, kDelete };
-
-  /// Page-wise read-modify-write over the whole file: every page is
-  /// read (sequential), `fn` may mutate each record in place or delete
-  /// it, and only MODIFIED pages are written back (WiSS-style in-place
-  /// update). Deleted records are compacted within their page; empty
-  /// pages remain allocated. Returns the number of updated + deleted
-  /// records. Must not be called with unflushed appends.
-  ///
-  /// NOTE: DML and index access paths (UpdateInPlace, FetchByRid,
-  /// ForEachRid) are outside the fault-injection recovery scope
-  /// (docs/fault_injection.md): an injected I/O error here aborts the
-  /// process via GAMMA_CHECK_OK rather than propagating.
-  size_t UpdateInPlace(const std::function<UpdateAction(uint8_t*)>& fn);
-
-  /// Record identifier for index entries: (page ordinal, slot).
-  static uint64_t MakeRid(size_t page_index, uint16_t slot) {
-    return (static_cast<uint64_t>(page_index) << 16) | slot;
-  }
-
-  /// Fetches one record by rid, charging a RANDOM page read (the
-  /// unclustered-index access path). A one-page cache makes consecutive
-  /// fetches from the same page free, as WiSS's buffer would.
-  Tuple FetchByRid(uint64_t rid) const;
-
-  /// Invokes `fn(rid, record)` for every record, charging a sequential
-  /// scan (used to bulk-build indices).
-  void ForEachRid(
-      const std::function<void(uint64_t, const uint8_t*)>& fn) const;
-
  private:
   friend class Scanner;
 
@@ -162,10 +130,6 @@ class HeapFile {
   std::vector<sim::PageId> pages_;
   size_t tuple_count_ = 0;
   std::unique_ptr<PageWriter> writer_;  // pending partial page
-
-  // One-page fetch cache for FetchByRid.
-  mutable std::vector<uint8_t> fetch_buf_;
-  mutable size_t fetch_buf_page_ = SIZE_MAX;
 };
 
 }  // namespace gammadb::storage

@@ -137,6 +137,12 @@ std::vector<storage::Tuple> SampleWithoutReplacement(
 
 Result<Dataset> LoadJoinABprime(sim::Machine& machine, db::Catalog& catalog,
                                 const DatasetOptions& options) {
+  if (options.inner_cardinality > options.outer_cardinality) {
+    return Status::InvalidArgument(
+        "inner cardinality " + std::to_string(options.inner_cardinality) +
+        " exceeds outer cardinality " +
+        std::to_string(options.outer_cardinality));
+  }
   GenOptions gen;
   gen.cardinality = options.outer_cardinality;
   gen.seed = options.seed;

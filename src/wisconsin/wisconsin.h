@@ -99,6 +99,9 @@ struct Dataset {
   db::StoredRelation* inner = nullptr;  // the 10k relation (R)
 };
 
+/// The inner relation is sampled from the outer one, so an
+/// inner_cardinality above outer_cardinality is InvalidArgument (and
+/// nothing is created).
 Result<Dataset> LoadJoinABprime(sim::Machine& machine, db::Catalog& catalog,
                                 const DatasetOptions& options);
 

@@ -138,6 +138,17 @@ TEST(WisconsinTest, LoadJoinABprimeCreatesBothRelations) {
   }
 }
 
+TEST(WisconsinTest, LoadJoinABprimeRejectsInnerLargerThanOuter) {
+  sim::Machine machine(testing::SmallConfig(4));
+  db::Catalog catalog;
+  DatasetOptions options;
+  options.outer_cardinality = 1000;
+  options.inner_cardinality = 2000;
+  auto loaded = LoadJoinABprime(machine, catalog, options);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(catalog.Names().empty());
+}
+
 TEST(WisconsinTest, StringsEncodeTheKey) {
   GenOptions options;
   options.cardinality = 100;

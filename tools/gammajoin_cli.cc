@@ -25,6 +25,8 @@
 //                      simulated second went, by cost-model primitive)
 //   --trace=FILE       write a simulated-time Chrome trace_event JSON
 //                      (open in Perfetto; see docs/tracing.md)
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,9 +91,10 @@ int Usage(const char* argv0) {
 }
 
 /// Checked parsing for numeric flag values: rejects non-numeric text
-/// and out-of-range values instead of silently reading them as 0.
+/// and values outside [min_value, max_value] instead of silently reading
+/// them as 0 or wrapping them into the option's narrower type.
 bool ParseIntValue(const char* flag, const char* text, int64_t min_value,
-                   int64_t* out) {
+                   int64_t max_value, int64_t* out) {
   if (!ParseInt64(text, out)) {
     std::fprintf(stderr, "%s: '%s' is not an integer\n", flag, text);
     return false;
@@ -100,6 +103,12 @@ bool ParseIntValue(const char* flag, const char* text, int64_t min_value,
     std::fprintf(stderr, "%s: %lld is below the minimum %lld\n", flag,
                  static_cast<long long>(*out),
                  static_cast<long long>(min_value));
+    return false;
+  }
+  if (*out > max_value) {
+    std::fprintf(stderr, "%s: %lld is above the maximum %lld\n", flag,
+                 static_cast<long long>(*out),
+                 static_cast<long long>(max_value));
     return false;
   }
   return true;
@@ -134,31 +143,31 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       if (!ParseDoubleValue("--ratio", v, &options->ratio)) return false;
     } else if (ParseFlag(argv[i], "--outer", &v) && v != nullptr) {
       int64_t n = 0;
-      if (!ParseIntValue("--outer", v, 1, &n)) return false;
+      if (!ParseIntValue("--outer", v, 1, UINT32_MAX, &n)) return false;
       options->outer = static_cast<uint32_t>(n);
     } else if (ParseFlag(argv[i], "--inner", &v) && v != nullptr) {
       int64_t n = 0;
-      if (!ParseIntValue("--inner", v, 1, &n)) return false;
+      if (!ParseIntValue("--inner", v, 1, UINT32_MAX, &n)) return false;
       options->inner = static_cast<uint32_t>(n);
     } else if (ParseFlag(argv[i], "--disks", &v) && v != nullptr) {
       int64_t n = 0;
-      if (!ParseIntValue("--disks", v, 1, &n)) return false;
+      if (!ParseIntValue("--disks", v, 1, INT_MAX, &n)) return false;
       options->disks = static_cast<int>(n);
     } else if (ParseFlag(argv[i], "--diskless", &v) && v != nullptr) {
       int64_t n = 0;
-      if (!ParseIntValue("--diskless", v, 0, &n)) return false;
+      if (!ParseIntValue("--diskless", v, 0, INT_MAX, &n)) return false;
       options->diskless = static_cast<int>(n);
     } else if (ParseFlag(argv[i], "--buckets", &v) && v != nullptr) {
       int64_t n = 0;
-      if (!ParseIntValue("--buckets", v, 1, &n)) return false;
+      if (!ParseIntValue("--buckets", v, 1, INT_MAX, &n)) return false;
       options->buckets = static_cast<int>(n);
     } else if (ParseFlag(argv[i], "--seed", &v) && v != nullptr) {
       int64_t n = 0;
-      if (!ParseIntValue("--seed", v, 0, &n)) return false;
+      if (!ParseIntValue("--seed", v, 0, INT64_MAX, &n)) return false;
       options->seed = static_cast<uint64_t>(n);
     } else if (ParseFlag(argv[i], "--threads", &v) && v != nullptr) {
       int64_t n = 0;
-      if (!ParseIntValue("--threads", v, 1, &n)) return false;
+      if (!ParseIntValue("--threads", v, 1, INT_MAX, &n)) return false;
       options->threads = static_cast<int>(n);
     } else if (ParseFlag(argv[i], "--trace", &v) && v != nullptr) {
       options->trace_path = v;
@@ -182,6 +191,15 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     }
   }
   if (options->inner == 0) options->inner = options->outer / 10;
+  if (options->remote && options->diskless == 0) options->diskless = 8;
+  // sim::Machine counts its nodes in an int.
+  const int64_t nodes =
+      static_cast<int64_t>(options->disks) + options->diskless;
+  if (nodes > INT_MAX) {
+    std::fprintf(stderr, "--disks + --diskless: %lld is above the maximum %d\n",
+                 static_cast<long long>(nodes), INT_MAX);
+    return false;
+  }
   return true;
 }
 
@@ -190,7 +208,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
 int main(int argc, char** argv) {
   Options options;
   if (!ParseArgs(argc, argv, &options)) return Usage(argv[0]);
-  if (options.remote && options.diskless == 0) options.diskless = 8;
 
   sim::MachineConfig config;
   config.num_disk_nodes = options.disks;
