@@ -1,6 +1,8 @@
 #include "common/harness.h"
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,10 +88,12 @@ void WriteBenchJson() {
 }
 
 /// Checked numeric flag parsing: atoi-style silent zeros are exactly
-/// how "--threads x" used to become a zero-thread run. Rejects
-/// non-numeric values and anything below `min_value` with a usage error.
+/// how "--threads x" used to become a zero-thread run, and an unbounded
+/// value wraps when cast to the option's narrower type. Rejects
+/// non-numeric values and anything outside [min_value, max_value] with
+/// a usage error.
 int64_t ParseIntFlag(const char* argv0, const char* flag, const char* text,
-                     int64_t min_value) {
+                     int64_t min_value, int64_t max_value) {
   int64_t value = 0;
   if (!ParseInt64(text, &value)) {
     Usage(argv0, StrFormat("%s: '%s' is not an integer", flag, text));
@@ -98,6 +102,11 @@ int64_t ParseIntFlag(const char* argv0, const char* flag, const char* text,
     Usage(argv0, StrFormat("%s: %lld is below the minimum %lld", flag,
                            static_cast<long long>(value),
                            static_cast<long long>(min_value)));
+  }
+  if (value > max_value) {
+    Usage(argv0, StrFormat("%s: %lld is above the maximum %lld", flag,
+                           static_cast<long long>(value),
+                           static_cast<long long>(max_value)));
   }
   return value;
 }
@@ -227,7 +236,7 @@ void InitBench(int argc, char** argv, const std::string& benchmark_name) {
   if (const char* env = std::getenv("GAMMA_BENCH_THREADS");
       env != nullptr && env[0] != '\0') {
     state.threads = static_cast<int>(
-        ParseIntFlag(argv[0], "GAMMA_BENCH_THREADS", env, 1));
+        ParseIntFlag(argv[0], "GAMMA_BENCH_THREADS", env, 1, INT_MAX));
   }
   if (const char* env = std::getenv("GAMMA_BENCH_TRACE");
       env != nullptr && env[0] != '\0') {
@@ -253,22 +262,21 @@ void InitBench(int argc, char** argv, const std::string& benchmark_name) {
       state.outer_override = 10000;
       state.inner_override = 1000;
     } else if (std::strcmp(arg, "--outer") == 0) {
-      state.outer_override = static_cast<uint32_t>(
-          ParseIntFlag(argv[0], "--outer", next_value(i, "--outer"), 1));
+      state.outer_override = static_cast<uint32_t>(ParseIntFlag(
+          argv[0], "--outer", next_value(i, "--outer"), 1, UINT32_MAX));
     } else if (std::strcmp(arg, "--inner") == 0) {
-      state.inner_override = static_cast<uint32_t>(
-          ParseIntFlag(argv[0], "--inner", next_value(i, "--inner"), 1));
+      state.inner_override = static_cast<uint32_t>(ParseIntFlag(
+          argv[0], "--inner", next_value(i, "--inner"), 1, UINT32_MAX));
     } else if (std::strcmp(arg, "--threads") == 0) {
-      state.threads = static_cast<int>(
-          ParseIntFlag(argv[0], "--threads", next_value(i, "--threads"), 1));
+      state.threads = static_cast<int>(ParseIntFlag(
+          argv[0], "--threads", next_value(i, "--threads"), 1, INT_MAX));
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      state.threads =
-          static_cast<int>(ParseIntFlag(argv[0], "--threads", arg + 10, 1));
+      state.threads = static_cast<int>(
+          ParseIntFlag(argv[0], "--threads", arg + 10, 1, INT_MAX));
     } else {
       Usage(argv[0], StrFormat("unknown flag '%s'", arg));
     }
   }
-  if (state.threads < 1) Usage(argv[0], "--threads must be >= 1");
   if (JsonEnabled()) {
     state.doc.Set("schema_version", sim::kMetricsSchemaVersion);
     state.doc.Set("benchmark", benchmark_name);

@@ -2,7 +2,7 @@
 // Wisconsin benchmark — a one-to-many customers/orders join with a
 // selection predicate, executed on diskless join processors (the UN
 // case the paper calls "very common ... re-establishing one-to-many
-// relationships"), plus a WiSS B+-tree index lookup on a fragment.
+// relationships").
 //
 //   $ ./build/examples/custom_workload
 #include <cstdio>
@@ -13,7 +13,6 @@
 #include "gamma/predicate.h"
 #include "join/driver.h"
 #include "sim/machine.h"
-#include "storage/btree.h"
 
 using namespace gammadb;
 
@@ -95,17 +94,5 @@ int main() {
               (long long)output->metrics.counters.filter_drops);
   std::printf("  avg hash chain:  %.2f (skewed one-to-many duplicates)\n",
               output->stats.avg_chain_length);
-
-  // WiSS substrate demo: a B+-tree index over customer ids on node 0's
-  // fragment, as a scan accelerator.
-  storage::BPlusTree index(&machine.node(0));
-  const auto fragment = (*customers_rel)->fragment(0).PeekAll();
-  for (uint64_t i = 0; i < fragment.size(); ++i) {
-    index.Insert(fragment[i].GetInt32(customers_schema, 0), i);
-  }
-  const auto hits = index.RangeScan(100, 120);
-  std::printf("\nB+-tree over node 0's customer fragment: height %d, "
-              "%zu entries; cust_id in [100,120] -> %zu hits\n",
-              index.height(), index.size(), hits.size());
   return 0;
 }

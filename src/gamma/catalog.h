@@ -53,11 +53,6 @@ class StoredRelation {
   /// Releases all fragment pages.
   void FreeStorage();
 
-  // Declustering metadata (set by the loader).
-  PartitionStrategy strategy = PartitionStrategy::kRoundRobin;
-  int partition_field = -1;
-  uint64_t partition_hash_seed = 0;
-
  private:
   std::string name_;
   storage::Schema schema_;

@@ -99,16 +99,11 @@ Status LoadRelation(StoredRelation* relation,
                          t.GetInt32(schema, static_cast<size_t>(field)));
         break;
     }
-    // Loads run before faults are armed (docs/fault_injection.md), so a
-    // hard injected write error here aborts rather than propagating.
-    GAMMA_CHECK_OK(relation->fragment(site).Append(t));
+    GAMMA_RETURN_IF_ERROR(relation->fragment(site).Append(t));
   }
   for (size_t i = 0; i < num_sites; ++i) {
-    GAMMA_CHECK_OK(relation->fragment(i).FlushAppends());
+    GAMMA_RETURN_IF_ERROR(relation->fragment(i).FlushAppends());
   }
-  relation->strategy = options.strategy;
-  relation->partition_field = field;
-  relation->partition_hash_seed = options.hash_seed;
   return Status::OK();
 }
 

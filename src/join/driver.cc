@@ -338,7 +338,7 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
   }
 
   if (!run_status.ok()) {
-    GAMMA_CHECK_OK(catalog.Drop(result_name));
+    run_status.Update(catalog.Drop(result_name));
     return run_status;
   }
 

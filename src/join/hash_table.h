@@ -245,9 +245,6 @@ class JoinHashTable {
   size_t LogicalSlotOf(uint64_t hash) const {
     return (hash * 0x9E3779B97F4A7C15ULL) >> logical_shift_;
   }
-  size_t LogicalSlotOfTag(uint32_t tag) const {
-    return static_cast<size_t>(tag) >> (logical_shift_ - 32);
-  }
 
   /// The PHYSICAL home: the logical slot scaled into the physical
   /// index. Every entry of a logical slot shares one home, so its whole

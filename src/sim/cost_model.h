@@ -20,7 +20,6 @@ namespace gammadb::sim {
 struct CostModel {
   // --- Disk (per 8 KB page). Sequential assumes WiSS read-ahead. ---
   double disk_seq_page_seconds = 0.012;
-  double disk_rand_page_seconds = 0.028;
   /// CPU consumed issuing one page I/O (buffer management, WiSS call).
   double cpu_page_io_seconds = 0.0012;
 

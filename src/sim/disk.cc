@@ -28,17 +28,12 @@ void Disk::FreePage(PageId id) {
   free_list_.push_back(id);
 }
 
-Status Disk::RunIoAttempts(AccessPattern pattern, bool is_write) const {
-  const double device = pattern == AccessPattern::kSequential
-                            ? cost_->disk_seq_page_seconds
-                            : cost_->disk_rand_page_seconds;
+Status Disk::RunIoAttempts(bool is_write) const {
   Counters& counters = owner_->counters();
   for (int attempt = 1;; ++attempt) {
     // Every attempt pays full device + issue-CPU time: a retried I/O is
     // a real arm movement plus a fresh WiSS call.
-    owner_->ChargeDisk(device, pattern == AccessPattern::kSequential
-                                   ? CostCategory::kDiskSeq
-                                   : CostCategory::kDiskRand);
+    owner_->ChargeDisk(cost_->disk_seq_page_seconds, CostCategory::kDiskSeq);
     owner_->ChargeCpu(cost_->cpu_page_io_seconds, CostCategory::kIoIssue);
     FaultInjector* faults = owner_->fault_injector();
     const bool failed =
@@ -67,24 +62,16 @@ Status Disk::RunIoAttempts(AccessPattern pattern, bool is_write) const {
   }
 }
 
-Status Disk::WritePage(PageId id, const uint8_t* data, AccessPattern pattern) {
+Status Disk::WritePage(PageId id, const uint8_t* data) {
   GAMMA_DCHECK(id < pages_.size());
-  GAMMA_RETURN_IF_ERROR(RunIoAttempts(pattern, /*is_write=*/true));
+  GAMMA_RETURN_IF_ERROR(RunIoAttempts(/*is_write=*/true));
   std::memcpy(pages_[id].get(), data, cost_->page_bytes);
   return Status::OK();
 }
 
-Status Disk::ReadPage(PageId id, uint8_t* out, AccessPattern pattern) const {
+Status Disk::ReadPageRef(PageId id, const uint8_t** out) const {
   GAMMA_DCHECK(id < pages_.size());
-  GAMMA_RETURN_IF_ERROR(RunIoAttempts(pattern, /*is_write=*/false));
-  std::memcpy(out, pages_[id].get(), cost_->page_bytes);
-  return Status::OK();
-}
-
-Status Disk::ReadPageRef(PageId id, const uint8_t** out,
-                         AccessPattern pattern) const {
-  GAMMA_DCHECK(id < pages_.size());
-  GAMMA_RETURN_IF_ERROR(RunIoAttempts(pattern, /*is_write=*/false));
+  GAMMA_RETURN_IF_ERROR(RunIoAttempts(/*is_write=*/false));
   *out = pages_[id].get();
   return Status::OK();
 }

@@ -2,10 +2,9 @@
 //
 // Stands in for the 333 MB Fujitsu 8" drives of the paper's hardware.
 // Pages are real 8 KB byte arrays (the storage layer serializes real
-// tuples into them); only the *time* is simulated. Sequential accesses
-// (WiSS read-ahead / per-file output buffering) are cheaper than random
-// ones; the access pattern is declared by the storage layer, which knows
-// whether it is scanning or probing.
+// tuples into them); only the *time* is simulated. Every page I/O is
+// sequential: WiSS read-ahead on scans, per-file output buffering on
+// writes.
 #ifndef GAMMA_SIM_DISK_H_
 #define GAMMA_SIM_DISK_H_
 
@@ -22,11 +21,6 @@ class Node;
 
 using PageId = uint32_t;
 inline constexpr PageId kInvalidPageId = UINT32_MAX;
-
-enum class AccessPattern {
-  kSequential,  // file scan / run write with read-ahead or buffering
-  kRandom,      // index lookups, non-contiguous access
-};
 
 class Disk {
  public:
@@ -53,22 +47,15 @@ class Disk {
   /// Copies `cost().page_bytes` bytes into the page and charges one page
   /// write to the owning node. Fails with Status::Unavailable when an
   /// armed fault plan exhausts the retry budget.
-  Status WritePage(PageId id, const uint8_t* data, AccessPattern pattern);
+  Status WritePage(PageId id, const uint8_t* data);
 
-  /// Copies the page out and charges one page read to the owning node.
-  /// Fails with Status::Unavailable when an armed fault plan exhausts
-  /// the retry budget.
-  Status ReadPage(PageId id, uint8_t* out, AccessPattern pattern) const;
-
-  /// Charges one page read exactly like ReadPage but returns a direct
-  /// pointer to the page bytes instead of copying them out. Pages are
+  /// Charges one page read to the owning node and returns a direct
+  /// pointer to the page bytes; the page is never copied. Pages are
   /// individually heap-allocated, so the pointer stays valid until the
   /// page is freed AND re-allocated; callers must not hold it past a
-  /// FreePage of the file it belongs to. This is the zero-copy scan
-  /// path: the simulated cost is identical to ReadPage, only the host
-  /// memcpy is skipped.
-  Status ReadPageRef(PageId id, const uint8_t** out,
-                     AccessPattern pattern) const;
+  /// FreePage of the file it belongs to. Fails with Status::Unavailable
+  /// when an armed fault plan exhausts the retry budget.
+  Status ReadPageRef(PageId id, const uint8_t** out) const;
 
   /// Direct, read-only view of page bytes WITHOUT charging I/O. Used by
   /// tests and by code paths that re-examine a page already charged.
@@ -82,7 +69,7 @@ class Disk {
  private:
   /// Runs the attempt/retry loop for one page I/O: charges each attempt,
   /// consults the armed fault injector, and counts faults and retries.
-  Status RunIoAttempts(AccessPattern pattern, bool is_write) const;
+  Status RunIoAttempts(bool is_write) const;
 
   Node* owner_;
   const CostModel* cost_;

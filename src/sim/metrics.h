@@ -26,7 +26,6 @@ namespace gammadb::sim {
 /// back into any cost.
 enum class CostCategory : uint8_t {
   kDiskSeq = 0,   // sequential page device time
-  kDiskRand,      // random page device time
   kIoIssue,       // CPU issuing a page I/O (buffer manager, WiSS call)
   kReadTuple,     // extracting a tuple from a page
   kWriteTuple,    // copying a tuple into an output/temp page
@@ -54,7 +53,6 @@ inline constexpr size_t kNumCostCategories =
 inline const char* CostCategoryName(CostCategory category) {
   switch (category) {
     case CostCategory::kDiskSeq: return "disk_seq";
-    case CostCategory::kDiskRand: return "disk_rand";
     case CostCategory::kIoIssue: return "io_issue";
     case CostCategory::kReadTuple: return "read_tuple";
     case CostCategory::kWriteTuple: return "write_tuple";

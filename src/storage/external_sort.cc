@@ -17,8 +17,8 @@ class RunCursor {
       : file_(file), scanner_(file->Scan()), key_field_(key_field) {}
 
   /// Steps to the next record, charging page I/O and then the record
-  /// read, as Scanner::Next does. False at end of run or on a page-read
-  /// failure (see status()).
+  /// read. False at end of run or on a page-read failure (see
+  /// status()).
   bool Advance() {
     if (next_ >= block_.size()) {
       if (!scanner_.NextBlock(&block_)) return false;

@@ -16,8 +16,7 @@ HeapFile::~HeapFile() {
 
 Status HeapFile::WritePendingPage() {
   const sim::PageId id = node_->disk().AllocatePage();
-  const Status write = node_->disk().WritePage(id, writer_->Finish(),
-                                               sim::AccessPattern::kSequential);
+  const Status write = node_->disk().WritePage(id, writer_->Finish());
   if (!write.ok()) {
     // The page's tuples stay buffered in the writer; tuple_count_
     // already counts them, so the file is consistent and the next
@@ -77,28 +76,14 @@ HeapFile::Scanner::Scanner(const HeapFile* file) : file_(file) {
 bool HeapFile::Scanner::LoadNextPage() {
   if (!status_.ok()) return false;
   if (next_page_ >= file_->pages_.size()) return false;
-  status_ = file_->node_->disk().ReadPageRef(
-      file_->pages_[next_page_], &page_data_,
-      sim::AccessPattern::kSequential);
+  status_ = file_->node_->disk().ReadPageRef(file_->pages_[next_page_],
+                                             &page_data_);
   if (!status_.ok()) return false;
   ++next_page_;
   ++pages_read_;
   PageReader reader(page_data_, file_->schema_->tuple_bytes());
   page_tuples_ = reader.count();
   next_slot_ = 0;
-  return true;
-}
-
-bool HeapFile::Scanner::Next(Tuple* out) {
-  while (next_slot_ >= page_tuples_) {
-    if (!LoadNextPage()) return false;
-  }
-  PageReader reader(page_data_, file_->schema_->tuple_bytes());
-  const uint8_t* rec = reader.Record(next_slot_);
-  ++next_slot_;
-  file_->node_->ChargeCpu(file_->node_->cost().cpu_read_tuple_seconds,
-                          sim::CostCategory::kReadTuple);
-  *out = Tuple(rec, file_->schema_->tuple_bytes());
   return true;
 }
 

@@ -63,24 +63,18 @@ class HeapFile {
   /// Releases all pages back to the disk and empties the file.
   void Free();
 
-  /// Sequential reader. Reading charges page I/O and per-tuple CPU; a
-  /// scanner abandoned early never charges for the pages it did not
-  /// reach (this is how sort-merge's early merge termination saves I/O
-  /// on skewed data).
+  /// Sequential block reader. Reading charges page I/O only; consumers
+  /// charge the tuple reads as they process the views. A scanner
+  /// abandoned early never charges for the pages it did not reach (this
+  /// is how sort-merge's early merge termination saves I/O on skewed
+  /// data).
   class Scanner {
    public:
     explicit Scanner(const HeapFile* file);
 
-    /// Advances to the next tuple; returns false at end of file OR on an
-    /// I/O error — check status() to tell the two apart.
-    bool Next(Tuple* out);
-
     /// Fills `block` with views of the remaining tuples of the current
     /// page (loading the next page first when it is exhausted), at most
-    /// TupleBlock::kCapacity. Charges page I/O only — the per-tuple
-    /// read CPU that Next() charges is charged by the CONSUMER as it
-    /// processes each view, which keeps the per-tuple charge order
-    /// (read, predicate, route, ...) of the scalar path intact.
+    /// TupleBlock::kCapacity.
     ///
     /// Views point DIRECTLY at the simulated disk's page bytes (the
     /// scanner never copies a page), so they stay valid until the

@@ -2,8 +2,7 @@
 //
 // Layout: a 4-byte header (uint16 record count, 2 bytes reserved)
 // followed by densely packed fixed-length records. All heap files, temp
-// files and sort runs use this layout; B+-tree nodes use their own (see
-// storage/btree.h).
+// files and sort runs use this layout.
 #ifndef GAMMA_STORAGE_PAGE_H_
 #define GAMMA_STORAGE_PAGE_H_
 

@@ -1,20 +1,18 @@
-// TupleBlock: a fixed-capacity batch of tuple references with a
-// parallel hash-value array — the unit of the block-granular
-// scan -> split -> exchange pipeline (docs/performance.md).
+// TupleBlock: a fixed-capacity batch of tuple references — the unit of
+// the block-granular scan -> split -> exchange pipeline
+// (docs/performance.md).
 //
-// A block holds VIEWS into a scanner's current page image, not owning
+// A block holds VIEWS into the simulated disk's page bytes, not owning
 // copies: the hot path materializes each tuple exactly once, directly
 // inside its destination (an exchange lane slot, a sort buffer, a hash
-// table arena). Views are valid only until the producing scanner
-// advances to its next page, so blocks must be consumed before the next
-// NextBlock()/Next() call.
+// table arena). Views stay valid until the scanned file's pages are
+// freed (storage/heap_file.h), not merely until the next NextBlock()
+// call; the zero-copy exchange drains them a phase round later.
 //
-// The parallel `hashes` array is filled by the consumer (the split
-// router computes join-attribute hashes for a whole block before the
-// charge pass; see join/hash_engine.cc). Batching NEVER changes the
-// simulated cost model's charge order — all ChargeCpu calls stay in the
-// scalar per-tuple order; only uncharged mechanics (copies, hashing
-// arithmetic, lane appends) are reorganized around the block.
+// Batching NEVER changes the simulated cost model's charge order — all
+// ChargeCpu calls stay in the per-tuple order; only uncharged mechanics
+// (copies, hashing arithmetic, lane appends) are reorganized around the
+// block.
 #ifndef GAMMA_STORAGE_TUPLE_BLOCK_H_
 #define GAMMA_STORAGE_TUPLE_BLOCK_H_
 
@@ -57,21 +55,8 @@ class TupleBlock {
     return views_[i];
   }
 
-  uint64_t hash(size_t i) const {
-    GAMMA_DCHECK(i < count_);
-    return hashes_[i];
-  }
-  void set_hash(size_t i, uint64_t h) {
-    GAMMA_DCHECK(i < count_);
-    hashes_[i] = h;
-  }
-  /// Raw access to the parallel hash array (batched routing).
-  uint64_t* hashes() { return hashes_.data(); }
-  const uint64_t* hashes() const { return hashes_.data(); }
-
  private:
   std::array<TupleView, kCapacity> views_;
-  std::array<uint64_t, kCapacity> hashes_;
   size_t count_ = 0;
 };
 

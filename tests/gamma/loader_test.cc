@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "sim/fault.h"
 #include "sim/machine.h"
 #include "wisconsin/wisconsin.h"
 
@@ -37,7 +38,6 @@ TEST_F(LoaderTest, RoundRobinBalancesExactly) {
   for (size_t i = 0; i < rel->num_fragments(); ++i) {
     EXPECT_EQ(rel->fragment(i).tuple_count(), 1000u);
   }
-  EXPECT_EQ(rel->strategy, PartitionStrategy::kRoundRobin);
 }
 
 TEST_F(LoaderTest, HashedPlacementMatchesModRule) {
@@ -143,6 +143,29 @@ TEST_F(LoaderTest, RejectsBadRangeBoundaries) {
   options.range_boundaries = {5};  // wrong count
   EXPECT_EQ(LoadRelation(*rel, tuples, options).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(LoaderTest, HardWriteFaultReturnsUnavailable) {
+  // A page write that exhausts the disk's retry budget is returned to
+  // the caller, never aborted on.
+  sim::FaultPlan plan;
+  sim::FaultEvent e;
+  e.kind = sim::FaultKind::kDiskWriteTransient;
+  e.node = 0;
+  e.ordinal = 1;
+  e.repeat = sim::Disk::kMaxIoAttempts;
+  plan.Add(e);
+  machine_.ArmFaults(plan);
+
+  auto rel = catalog_.Create(machine_, "faulty", wisconsin::WisconsinSchema());
+  ASSERT_TRUE(rel.ok());
+  wisconsin::GenOptions gen;
+  gen.cardinality = 400;
+  const Status status = LoadRelation(*rel, wisconsin::Generate(gen),
+                                     LoadOptions{});
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_EQ(machine_.node(0).counters().disk_write_faults,
+            sim::Disk::kMaxIoAttempts);
 }
 
 }  // namespace

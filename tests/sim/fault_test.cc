@@ -171,20 +171,21 @@ TEST_F(DiskFaultTest, TransientReadFaultRetriesAndSelfHeals) {
   machine_.ArmFaults(plan);
   EXPECT_TRUE(machine_.faults_armed());
 
-  std::vector<uint8_t> in = PageBuf(0xAB), out = PageBuf();
+  std::vector<uint8_t> in = PageBuf(0xAB);
   const PageId id = disk().AllocatePage();
   machine_.BeginPhase("fault io");
-  ASSERT_TRUE(disk().WritePage(id, in.data(), AccessPattern::kSequential).ok());
-  const Status read = disk().ReadPage(id, out.data(), AccessPattern::kRandom);
-  EXPECT_TRUE(read.ok()) << read.ToString();
-  EXPECT_EQ(in, out);  // data is never corrupted by a transient fault
+  ASSERT_TRUE(disk().WritePage(id, in.data()).ok());
+  const uint8_t* out = nullptr;
+  const Status read = disk().ReadPageRef(id, &out);
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  // Data is never corrupted by a transient fault.
+  EXPECT_EQ(std::vector<uint8_t>(out, out + in.size()), in);
 
   // The failed attempt plus the successful retry each paid full device
   // and issue-CPU time.
   const CostModel& cost = machine_.cost();
   const NodeUsage& usage = machine_.node(0).phase_usage();
-  EXPECT_DOUBLE_EQ(usage.disk_seconds, cost.disk_seq_page_seconds +
-                                           2 * cost.disk_rand_page_seconds);
+  EXPECT_DOUBLE_EQ(usage.disk_seconds, 3 * cost.disk_seq_page_seconds);
   EXPECT_DOUBLE_EQ(usage.cpu_seconds, 3 * cost.cpu_page_io_seconds);
   machine_.EndPhase().IgnoreError();
 
@@ -204,7 +205,7 @@ TEST_F(DiskFaultTest, TransientWriteFaultCountsSeparately) {
   std::vector<uint8_t> buf = PageBuf(0x11);
   const PageId id = disk().AllocatePage();
   machine_.BeginPhase("w");
-  EXPECT_TRUE(disk().WritePage(id, buf.data(), AccessPattern::kSequential).ok());
+  EXPECT_TRUE(disk().WritePage(id, buf.data()).ok());
   machine_.EndPhase().IgnoreError();
   const Counters c = machine_.Metrics().counters;
   EXPECT_EQ(c.disk_write_faults, 1);
@@ -217,10 +218,10 @@ TEST_F(DiskFaultTest, RepeatAtRetryBudgetBecomesHardError) {
   FaultPlan plan;
   plan.Add(Ev(FaultKind::kDiskReadTransient, 0, 1, Disk::kMaxIoAttempts));
   machine_.ArmFaults(plan);
-  std::vector<uint8_t> out = PageBuf();
+  const uint8_t* out = nullptr;
   const PageId id = disk().AllocatePage();
   machine_.BeginPhase("hard");
-  const Status st = disk().ReadPage(id, out.data(), AccessPattern::kRandom);
+  const Status st = disk().ReadPageRef(id, &out);
   machine_.EndPhase().IgnoreError();
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);
   const Counters c = machine_.Metrics().counters;
@@ -233,10 +234,10 @@ TEST_F(DiskFaultTest, RepeatBelowBudgetStillSucceeds) {
   FaultPlan plan;
   plan.Add(Ev(FaultKind::kDiskReadTransient, 0, 1, Disk::kMaxIoAttempts - 1));
   machine_.ArmFaults(plan);
-  std::vector<uint8_t> out = PageBuf();
+  const uint8_t* out = nullptr;
   const PageId id = disk().AllocatePage();
   machine_.BeginPhase("heal");
-  EXPECT_TRUE(disk().ReadPage(id, out.data(), AccessPattern::kRandom).ok());
+  EXPECT_TRUE(disk().ReadPageRef(id, &out).ok());
   machine_.EndPhase().IgnoreError();
   const Counters c = machine_.Metrics().counters;
   EXPECT_EQ(c.disk_read_faults, Disk::kMaxIoAttempts - 1);
@@ -251,16 +252,16 @@ TEST_F(DiskFaultTest, FaultCountersSurviveResetMetrics) {
   FaultPlan plan;
   plan.Add(Ev(FaultKind::kDiskReadTransient, 0, 2));
   machine_.ArmFaults(plan);
-  std::vector<uint8_t> out = PageBuf();
+  const uint8_t* out = nullptr;
   const PageId id = disk().AllocatePage();
   machine_.BeginPhase("a");
-  EXPECT_TRUE(disk().ReadPage(id, out.data(), AccessPattern::kRandom).ok());
+  EXPECT_TRUE(disk().ReadPageRef(id, &out).ok());
   machine_.EndPhase().IgnoreError();
   EXPECT_EQ(machine_.Metrics().counters.disk_read_faults, 0);
 
   machine_.ResetMetrics();
   machine_.BeginPhase("b");
-  EXPECT_TRUE(disk().ReadPage(id, out.data(), AccessPattern::kRandom).ok());
+  EXPECT_TRUE(disk().ReadPageRef(id, &out).ok());
   machine_.EndPhase().IgnoreError();
   const Counters c = machine_.Metrics().counters;
   EXPECT_EQ(c.disk_read_faults, 1);
@@ -278,10 +279,10 @@ TEST_F(DiskFaultTest, EmptyPlanDisarms) {
   machine_.ArmFaults(plan);
   machine_.DisarmFaults();
   EXPECT_FALSE(machine_.faults_armed());
-  std::vector<uint8_t> out = PageBuf();
+  const uint8_t* out = nullptr;
   const PageId id = disk().AllocatePage();
   machine_.BeginPhase("clean");
-  EXPECT_TRUE(disk().ReadPage(id, out.data(), AccessPattern::kRandom).ok());
+  EXPECT_TRUE(disk().ReadPageRef(id, &out).ok());
   machine_.EndPhase().IgnoreError();
   EXPECT_FALSE(machine_.Metrics().counters.Engaged(CounterGroup::kFault));
 }

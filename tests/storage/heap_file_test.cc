@@ -37,10 +37,12 @@ TEST_F(HeapFileTest, AppendScanRoundTrip) {
 
   machine_.BeginPhase("r");
   auto scanner = file.Scan();
-  Tuple t;
+  TupleBlock block;
   int32_t expected = 0;
-  while (scanner.Next(&t)) {
-    EXPECT_EQ(t.GetInt32(schema_, 0), expected++);
+  while (scanner.NextBlock(&block)) {
+    for (size_t i = 0; i < block.size(); ++i) {
+      EXPECT_EQ(schema_.GetInt32(block.view(i).data, 0), expected++);
+    }
   }
   EXPECT_EQ(expected, 1000);
   GAMMA_ASSERT_OK(machine_.EndPhase());
@@ -68,8 +70,10 @@ TEST_F(HeapFileTest, EarlyAbandonedScanChargesOnlyPagesReached) {
 
   machine_.BeginPhase("r");
   auto scanner = file.Scan();
-  Tuple t;
-  for (int i = 0; i < 45; ++i) ASSERT_TRUE(scanner.Next(&t));  // 2 pages
+  TupleBlock block;
+  for (size_t seen = 0; seen < 45; seen += block.size()) {  // 2 pages
+    ASSERT_TRUE(scanner.NextBlock(&block));
+  }
   GAMMA_ASSERT_OK(machine_.EndPhase());
   EXPECT_EQ(machine_.node(0).counters().pages_read, 2);
   EXPECT_EQ(scanner.pages_read(), 2u);
@@ -117,8 +121,8 @@ TEST_F(HeapFileTest, EmptyFileScansNothing) {
   GAMMA_ASSERT_OK(file.FlushAppends());
   machine_.BeginPhase("r");
   auto scanner = file.Scan();
-  Tuple t;
-  EXPECT_FALSE(scanner.Next(&t));
+  TupleBlock block;
+  EXPECT_FALSE(scanner.NextBlock(&block));
   GAMMA_ASSERT_OK(machine_.EndPhase());
 }
 
@@ -154,9 +158,13 @@ TEST_F(HeapFileTest, AppendSurvivesHardWriteFaultViaRetry) {
 
   machine_.BeginPhase("r");
   auto scanner = file.Scan();
-  Tuple t;
+  TupleBlock block;
   int32_t expected = 0;
-  while (scanner.Next(&t)) EXPECT_EQ(t.GetInt32(schema_, 0), expected++);
+  while (scanner.NextBlock(&block)) {
+    for (size_t i = 0; i < block.size(); ++i) {
+      EXPECT_EQ(schema_.GetInt32(block.view(i).data, 0), expected++);
+    }
+  }
   EXPECT_EQ(expected, 41);
   EXPECT_TRUE(scanner.status().ok());
   machine_.EndPhase().IgnoreError();
@@ -185,11 +193,11 @@ TEST_F(HeapFileTest, ScannerSurfacesHardReadFault) {
 
   machine_.BeginPhase("r");
   auto scanner = file.Scan();
-  Tuple t;
-  int32_t seen = 0;
-  while (scanner.Next(&t)) ++seen;
+  TupleBlock block;
+  size_t seen = 0;
+  while (scanner.NextBlock(&block)) seen += block.size();
   machine_.EndPhase().IgnoreError();
-  EXPECT_EQ(seen, 0);  // stopped by the failed first page, not EOF
+  EXPECT_EQ(seen, 0u);  // stopped by the failed first page, not EOF
   EXPECT_EQ(scanner.status().code(), StatusCode::kUnavailable);
 }
 

@@ -130,7 +130,6 @@ TEST(WisconsinTest, LoadJoinABprimeCreatesBothRelations) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->outer->total_tuples(), 2000u);
   EXPECT_EQ(loaded->inner->total_tuples(), 200u);
-  EXPECT_EQ(loaded->outer->strategy, db::PartitionStrategy::kHashed);
   // Inner tuples are a subset of outer tuples.
   const auto outer_rows = testing::Canonical(loaded->outer->PeekAllTuples());
   for (const auto& row : testing::Canonical(loaded->inner->PeekAllTuples())) {
