@@ -42,6 +42,9 @@ class StoredRelation {
   /// Fragment living on home_nodes()[i].
   storage::HeapFile& fragment(size_t i) { return *fragments_[i]; }
   const storage::HeapFile& fragment(size_t i) const { return *fragments_[i]; }
+  const std::vector<std::unique_ptr<storage::HeapFile>>& fragments() const {
+    return fragments_;
+  }
 
   size_t total_tuples() const;
   uint64_t total_bytes() const;

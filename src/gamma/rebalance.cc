@@ -237,6 +237,10 @@ std::vector<std::vector<uint64_t>> GatherBinCounts(
   return counts;
 }
 
+namespace {
+
+/// Charges the scheduler work of one rebalance exchange. Must be called
+/// inside an open machine phase.
 void ChargeRebalance(sim::Machine& machine, int num_join_sites,
                      int num_producers, uint64_t plan_bytes) {
   const sim::CostModel& cost = machine.cost();
@@ -251,6 +255,29 @@ void ChargeRebalance(sim::Machine& machine, int num_join_sites,
   machine.ChargeScheduler(
       static_cast<double>(messages) * cost.sched_control_message_seconds,
       messages);
+}
+
+}  // namespace
+
+RebalancePlan PlanRebalance(
+    sim::Machine& machine, const std::vector<int>& process_nodes,
+    const std::function<const HashHistogram&(size_t)>& histogram,
+    uint64_t bytes_per_tuple, uint64_t capacity_bytes_per_process,
+    size_t num_producers, bool keep_static) {
+  const std::vector<std::vector<uint64_t>> counts =
+      GatherBinCounts(machine, process_nodes, histogram);
+  RebalancePlan plan;
+  if (!keep_static) {
+    plan = ComputeRebalancePlan(counts, bytes_per_tuple,
+                                capacity_bytes_per_process, RebalanceOptions{});
+  }
+  ChargeRebalance(machine, static_cast<int>(process_nodes.size()),
+                  static_cast<int>(num_producers), plan.SerializedBytes());
+  if (plan.active) {
+    ++machine.node(process_nodes[0]).counters().rebalance_plans;
+    plan.Install(num_producers);
+  }
+  return plan;
 }
 
 }  // namespace gammadb::db

@@ -125,12 +125,19 @@ std::vector<std::vector<uint64_t>> GatherBinCounts(
     sim::Machine& machine, const std::vector<int>& process_nodes,
     const std::function<const HashHistogram&(size_t)>& histogram);
 
-/// Charges the scheduler work of one rebalance exchange: one statistics
-/// packet gathered from each join site, plus the override-table
-/// broadcast to every join site and producing site (packetized like a
-/// split table). Must be called inside an open machine phase.
-void ChargeRebalance(sim::Machine& machine, int num_join_sites,
-                     int num_producers, uint64_t plan_bytes);
+/// The rebalance prologue both engines run inside their open rebalance
+/// phase: gathers the per-process bin counts (GatherBinCounts), computes
+/// a plan from them unless `keep_static`, charges the scheduler work of
+/// the exchange — one statistics packet gathered from each join site,
+/// plus the verdict broadcast to every join site and to the
+/// `num_producers` producing sites (packetized like a split table) —
+/// and, when the plan is active, counts it on the first process's node
+/// and installs it for those producers.
+RebalancePlan PlanRebalance(
+    sim::Machine& machine, const std::vector<int>& process_nodes,
+    const std::function<const HashHistogram&(size_t)>& histogram,
+    uint64_t bytes_per_tuple, uint64_t capacity_bytes_per_process,
+    size_t num_producers, bool keep_static);
 
 }  // namespace gammadb::db
 

@@ -1,15 +1,13 @@
 #include "join/driver.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
-#include <memory>
 
 #include "common/logging.h"
 #include "gamma/bucket_analyzer.h"
-#include "gamma/split_table.h"
 #include "join/hash_engine.h"
 #include "join/sort_merge.h"
-#include "sim/memory_broker.h"
 #include "sim/trace.h"
 
 namespace gammadb::join {
@@ -36,7 +34,8 @@ int OptimizerBucketCount(uint64_t inner_bytes, uint64_t memory_bytes) {
   // not round down a byte and spuriously add a bucket.
   const double exact = static_cast<double>(inner_bytes) /
                        static_cast<double>(memory_bytes);
-  return std::max(1, static_cast<int>(std::ceil(exact * (1.0 - 1e-4))));
+  return std::max(1, static_cast<int>(std::min(
+                         std::ceil(exact * (1.0 - 1e-4)), double{INT_MAX})));
 }
 
 namespace {
@@ -60,88 +59,6 @@ Status ValidateField(const db::StoredRelation* rel, int field,
   return Status::OK();
 }
 
-Status RunSimple(sim::Machine& machine, HashJoinEngine& engine,
-                 const db::StoredRelation* inner,
-                 const db::StoredRelation* outer, const JoinSpec& spec) {
-  (void)machine;
-  return engine.RunSubJoin(
-      "simple", engine.RelationProducers(inner, &spec.inner_predicate),
-      engine.RelationProducers(outer, &spec.outer_predicate), spec.hash_seed);
-}
-
-Status RunGrace(sim::Machine& machine, HashJoinEngine& engine,
-                const db::StoredRelation* inner,
-                const db::StoredRelation* outer, const JoinSpec& spec,
-                int num_buckets) {
-  BucketFileSet r_buckets(&machine, &inner->schema(), num_buckets, "grace.R");
-  BucketFileSet s_buckets(&machine, &outer->schema(), num_buckets, "grace.S");
-  const db::SplitTable table =
-      db::SplitTable::GracePartitioning(machine.DiskNodeIds(), num_buckets);
-
-  // Bucket-forming: both relations are written back to disk before any
-  // joining starts (the defining property of the Grace algorithm).
-  GAMMA_RETURN_IF_ERROR(engine.PartitionPhase(
-      "grace form R", table,
-      engine.RelationProducers(inner, &spec.inner_predicate), spec.hash_seed,
-      HashJoinEngine::Side::kInner, &r_buckets));
-  GAMMA_RETURN_IF_ERROR(engine.PartitionPhase(
-      "grace form S", table,
-      engine.RelationProducers(outer, &spec.outer_predicate), spec.hash_seed,
-      HashJoinEngine::Side::kOuter, &s_buckets));
-
-  // Bucket-joining: each bucket is an independent sub-join.
-  for (int b = 1; b <= num_buckets; ++b) {
-    GAMMA_RETURN_IF_ERROR(engine.RunSubJoin(
-        "grace bucket " + std::to_string(b),
-        engine.BucketProducers(&r_buckets, b),
-        engine.BucketProducers(&s_buckets, b), spec.hash_seed));
-    r_buckets.FreeBucket(b);
-    s_buckets.FreeBucket(b);
-  }
-  return Status::OK();
-}
-
-Status RunHybrid(sim::Machine& machine, HashJoinEngine& engine,
-                 const db::StoredRelation* inner,
-                 const db::StoredRelation* outer, const JoinSpec& spec,
-                 int num_buckets, const std::vector<int>& join_nodes) {
-  BucketFileSet r_buckets(&machine, &inner->schema(), num_buckets - 1,
-                          "hybrid.R");
-  BucketFileSet s_buckets(&machine, &outer->schema(), num_buckets - 1,
-                          "hybrid.S");
-  const db::SplitTable table = db::SplitTable::HybridPartitioning(
-      join_nodes, machine.DiskNodeIds(), num_buckets);
-  BucketFileSet* r_files = num_buckets > 1 ? &r_buckets : nullptr;
-  BucketFileSet* s_files = num_buckets > 1 ? &s_buckets : nullptr;
-
-  // Partitioning of R overlaps with building bucket 0's hash tables;
-  // partitioning of S overlaps with probing bucket 0.
-  engine.StartSubJoin();
-  GAMMA_RETURN_IF_ERROR(engine.PartitionPhase(
-      "hybrid partition R", table,
-      engine.RelationProducers(inner, &spec.inner_predicate), spec.hash_seed,
-      HashJoinEngine::Side::kInner, r_files));
-  // Adaptive repartitioning of bucket 0 happens before S is scanned, so
-  // an overridden bin's probe tuples route straight to their new homes.
-  GAMMA_RETURN_IF_ERROR(engine.MaybeRebalance("hybrid rebalance"));
-  GAMMA_RETURN_IF_ERROR(engine.PartitionPhase(
-      "hybrid partition S", table,
-      engine.RelationProducers(outer, &spec.outer_predicate), spec.hash_seed,
-      HashJoinEngine::Side::kOuter, s_files));
-  GAMMA_RETURN_IF_ERROR(engine.ResolveOverflows("hybrid b0 ovfl", spec.hash_seed));
-
-  // The stored N-1 buckets join exactly like Grace buckets.
-  for (int b = 1; b <= num_buckets - 1; ++b) {
-    GAMMA_RETURN_IF_ERROR(engine.RunSubJoin(
-        "hybrid bucket " + std::to_string(b),
-        engine.BucketProducers(&r_buckets, b),
-        engine.BucketProducers(&s_buckets, b), spec.hash_seed));
-    r_buckets.FreeBucket(b);
-    s_buckets.FreeBucket(b);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
@@ -152,21 +69,25 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
                          catalog.Get(spec.outer_relation));
   GAMMA_RETURN_IF_ERROR(ValidateField(inner, spec.inner_field, "inner"));
   GAMMA_RETURN_IF_ERROR(ValidateField(outer, spec.outer_field, "outer"));
+  const std::vector<int> disks = machine.DiskNodeIds();
+  if (inner->num_fragments() != disks.size() ||
+      outer->num_fragments() != disks.size()) {
+    return Status::InvalidArgument("relations not declustered over all disks");
+  }
 
   // One entry per join PROCESS; a node id may repeat to run several
   // join processes on one processor (Appendix A's remedy for skewed
   // split-table distributions; also the paper's intra-query-parallelism
   // future work).
   std::vector<int> join_nodes =
-      spec.join_nodes.empty() ? machine.DiskNodeIds() : spec.join_nodes;
+      spec.join_nodes.empty() ? disks : spec.join_nodes;
   std::sort(join_nodes.begin(), join_nodes.end());
   for (int id : join_nodes) {
     if (id < 0 || id >= machine.num_nodes()) {
       return Status::InvalidArgument("join node id out of range");
     }
   }
-  if (spec.algorithm == Algorithm::kSortMerge &&
-      join_nodes != machine.DiskNodeIds()) {
+  if (spec.algorithm == Algorithm::kSortMerge && join_nodes != disks) {
     return Status::InvalidArgument(
         "sort-merge joins execute only on the processors with disks "
         "(paper Section 3.1)");
@@ -211,6 +132,30 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
     return Status::InvalidArgument("max_overflow_levels must be >= 0");
   }
 
+  // Every bucket costs a fragment file per disk and phases of its own
+  // even when empty, so no more buckets than stored inner tuples.
+  const auto max_buckets = static_cast<int>(std::min<uint64_t>(
+      std::max<uint64_t>(1, inner->total_tuples()), INT_MAX));
+  if (spec.num_buckets.has_value() && *spec.num_buckets > max_buckets) {
+    return Status::InvalidArgument(
+        "num_buckets exceeds the inner relation's tuple count");
+  }
+  int num_buckets = 1;
+  if (spec.algorithm == Algorithm::kGraceHash ||
+      spec.algorithm == Algorithm::kHybridHash) {
+    num_buckets = std::max(
+        1, spec.num_buckets.value_or(std::min(
+               OptimizerBucketCount(inner_bytes, memory_bytes), max_buckets)));
+    if (spec.use_bucket_analyzer) {
+      num_buckets = db::AnalyzeBucketCount(
+          spec.algorithm == Algorithm::kGraceHash
+              ? db::BucketAlgorithm::kGrace
+              : db::BucketAlgorithm::kHybrid,
+          num_buckets, static_cast<int>(disks.size()),
+          static_cast<int>(join_nodes.size()));
+    }
+  }
+
   std::string result_name = spec.result_name.empty()
                                 ? spec.inner_relation + "_" +
                                       spec.outer_relation + "_join"
@@ -228,91 +173,12 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
   // each result fragment is appended by exactly one executor task, so
   // no accumulator is shared. Pure observation; no simulated charge.
   std::vector<DigestAccumulator> capture;
-  std::vector<DigestAccumulator>* capture_ptr = nullptr;
-  if (spec.capture_results) {
-    capture.resize(machine.DiskNodeIds().size());
-    capture_ptr = &capture;
-  }
+  if (spec.capture_results) capture.resize(disks.size());
 
-  // Per-node build-memory broker: every join process contributes its
-  // capacity share to its node's budget, so co-resident processes draw
-  // on one shared pool (sim/memory_broker.h). Rebuilt per attempt (it
-  // must outlive the attempt's engine, whose hash tables release their
-  // reservations on destruction).
-  std::optional<sim::MemoryBroker> broker;
-
-  // One attempt of the chosen algorithm, writing through `result` and
-  // `stats`. Restartable: every attempt builds fresh engine state.
-  const auto run_attempt = [&]() -> Status {
-    if (spec.algorithm == Algorithm::kSortMerge) {
-      SortMergeParams params{inner,
-                             outer,
-                             spec.inner_field,
-                             spec.outer_field,
-                             &spec.inner_predicate,
-                             &spec.outer_predicate,
-                             memory_bytes,
-                             spec.use_bit_filters,
-                             spec.hash_seed,
-                             result};
-      params.adaptive_repartition = spec.adaptive_repartition;
-      params.capture = capture_ptr;
-      return RunSortMergeJoin(machine, params, &stats);
-    }
-    broker.emplace(machine.num_nodes());
-    for (int id : join_nodes) broker->AddBudget(id, capacity_per_node);
-
-    HashJoinEngine::Config config;
-    config.join_nodes = join_nodes;
-    config.inner_schema = &inner->schema();
-    config.outer_schema = &outer->schema();
-    config.inner_field = spec.inner_field;
-    config.outer_field = spec.outer_field;
-    config.capacity_bytes_per_node = capacity_per_node;
-    config.use_bit_filters = spec.use_bit_filters;
-    config.use_forming_bit_filters = spec.use_forming_bit_filters;
-    config.adaptive_repartition = spec.adaptive_repartition;
-    config.max_overflow_levels = spec.max_overflow_levels;
-    config.broker = &*broker;
-    config.result = result;
-    config.stats = &stats;
-    config.capture = capture_ptr;
-    HashJoinEngine engine(&machine, config);
-
-    Status run_status;
-    switch (spec.algorithm) {
-      case Algorithm::kSimpleHash:
-        stats.num_buckets = 1;
-        run_status = RunSimple(machine, engine, inner, outer, spec);
-        break;
-      case Algorithm::kGraceHash:
-      case Algorithm::kHybridHash: {
-        int buckets = spec.num_buckets.value_or(
-            OptimizerBucketCount(inner_bytes, memory_bytes));
-        buckets = std::max(1, buckets);
-        if (spec.use_bucket_analyzer) {
-          buckets = db::AnalyzeBucketCount(
-              spec.algorithm == Algorithm::kGraceHash
-                  ? db::BucketAlgorithm::kGrace
-                  : db::BucketAlgorithm::kHybrid,
-              buckets, static_cast<int>(machine.DiskNodeIds().size()),
-              static_cast<int>(join_nodes.size()));
-        }
-        stats.num_buckets = buckets;
-        if (spec.algorithm == Algorithm::kGraceHash) {
-          run_status = RunGrace(machine, engine, inner, outer, spec, buckets);
-        } else {
-          run_status = RunHybrid(machine, engine, inner, outer, spec, buckets,
-                                 join_nodes);
-        }
-        break;
-      }
-      default:
-        run_status = Status::Internal("unhandled algorithm");
-    }
-    GAMMA_RETURN_IF_ERROR(run_status);
-    return engine.FinalizeResult();
-  };
+  // The resolved plan both engines read.
+  const JoinPlan plan{spec, inner, outer, std::move(join_nodes), memory_bytes,
+                      capacity_per_node, num_buckets, result,
+                      spec.capture_results ? &capture : nullptr};
 
   // Gamma's recovery model at operator granularity: a recoverable fault
   // (node crash / hard I/O error) aborts the attempt, the partial result
@@ -324,10 +190,15 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
   for (int attempt = 0;; ++attempt) {
     const double attempt_start = machine.response_seconds();
     stats = JoinStats{};
+    stats.num_buckets = plan.num_buckets;
     // An aborted attempt's partial result is discarded below, so its
     // partial digest must go with it.
     for (DigestAccumulator& acc : capture) acc.Reset();
-    run_status = run_attempt();
+    // Every attempt builds fresh engine state, writing through `result`
+    // and `stats`.
+    run_status = spec.algorithm == Algorithm::kSortMerge
+                     ? RunSortMergeJoin(machine, plan, &stats)
+                     : HashJoinEngine(&machine, plan, &stats).Run();
     if (run_status.ok()) break;
     const bool recoverable =
         run_status.code() == StatusCode::kAborted ||
@@ -346,12 +217,6 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
   out.metrics = machine.Metrics();
   out.stats = stats;
   out.stats.result_tuples = result->total_tuples();
-  if (broker.has_value()) {
-    out.stats.spill_bytes =
-        static_cast<int64_t>(broker->TotalSpillBytes());
-    out.stats.refill_bytes =
-        static_cast<int64_t>(broker->TotalRefillBytes());
-  }
   out.result_relation = result_name;
   if (spec.capture_results) {
     DigestAccumulator all;

@@ -1,7 +1,8 @@
-// Entry point of the join subsystem: validates a JoinSpec, sets up the
-// engine (memory budgets, split tables, bucket counts via the optimizer
-// and Appendix A bucket analyzer), runs the requested parallel join
-// algorithm and reports metrics. The join result is stored as a new
+// Entry point of the join subsystem: validates a JoinSpec once into the
+// JoinPlan both engines read (join/plan.h: join processes, memory
+// budgets, bucket count via the optimizer and Appendix A bucket
+// analyzer), runs the requested parallel join algorithm on it and
+// reports metrics. The join result is stored as a new
 // round-robin-declustered relation in the catalog.
 #ifndef GAMMA_JOIN_DRIVER_H_
 #define GAMMA_JOIN_DRIVER_H_
@@ -20,9 +21,10 @@ namespace gammadb::join {
 Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
                                const JoinSpec& spec);
 
-/// Bucket count the optimizer picks for Grace/Hybrid before the bucket
-/// analyzer runs: ceil(|R| / aggregate memory), at least 1 (paper
-/// Sections 3.3-3.4). Exposed for tests and benches.
+/// Bucket count the optimizer picks for Grace/Hybrid: ceil(|R| /
+/// aggregate memory), at least 1 and at most INT_MAX (paper Sections
+/// 3.3-3.4). ExecuteJoin caps it at the stored inner tuple count before
+/// the bucket analyzer runs. Exposed for tests and benches.
 int OptimizerBucketCount(uint64_t inner_bytes, uint64_t memory_bytes);
 
 }  // namespace gammadb::join

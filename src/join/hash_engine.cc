@@ -13,6 +13,27 @@ namespace {
 /// per eviction round ("We currently try to clear 10% of the hash table
 /// memory space when overflow is detected", paper Section 4.1).
 constexpr double kClearFraction = 0.10;
+
+/// Each hash algorithm's row of phase labels, in Algorithm order: the
+/// name its stored buckets' files and sub-joins carry ("grace.R",
+/// "grace bucket 2 build"), its partition phases, and its bucket-0
+/// overflow resolution. Fault plans, traces and baselines key on every
+/// label. Grace's table has no bucket 0, so its forming phases build no
+/// hash table: it has no rebalance phase and nothing to resolve.
+struct AlgorithmLabels {
+  const char* name;
+  const char* build;
+  const char* rebalance;
+  const char* probe;
+  const char* overflow;
+};
+constexpr AlgorithmLabels kAlgorithmLabels[] = {
+    {"simple", "simple build", "simple rebalance", "simple probe",
+     "simple ovfl"},
+    {"grace", "grace form R", "", "grace form S", ""},
+    {"hybrid", "hybrid partition R", "hybrid rebalance", "hybrid partition S",
+     "hybrid b0 ovfl"},
+};
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -75,17 +96,20 @@ void BucketFileSet::FreeBucket(int bucket) {
 // HashJoinEngine
 // ---------------------------------------------------------------------------
 
-HashJoinEngine::HashJoinEngine(sim::Machine* machine, Config config)
+HashJoinEngine::HashJoinEngine(sim::Machine* machine, const JoinPlan& plan,
+                               JoinStats* stats)
     : machine_(machine),
-      config_(std::move(config)),
+      plan_(plan),
+      stats_(stats),
       disks_(machine->DiskNodeIds()),
+      broker_(machine->num_nodes()),
       exchange_(machine),
       overflow_exchange_(machine),
       store_exchange_(machine) {
-  GAMMA_CHECK(!config_.join_nodes.empty());
-  GAMMA_CHECK(config_.result != nullptr);
-  GAMMA_CHECK(config_.stats != nullptr);
-  jstate_.resize(config_.join_nodes.size());
+  for (int id : plan_.join_nodes) {
+    broker_.AddBudget(id, plan_.capacity_per_process);
+  }
+  jstate_.resize(plan_.join_nodes.size());
   // "different overflow files are assigned to different disks". A join
   // process running on a disk node spools to its own disk (for local
   // joins "the transmission of the overflow tuples are all
@@ -97,7 +121,7 @@ HashJoinEngine::HashJoinEngine(sim::Machine* machine, Config config)
   std::vector<int> free_disks;
   for (int disk : disks_) {
     bool claimed = false;
-    for (int join_id : config_.join_nodes) {
+    for (int join_id : plan_.join_nodes) {
       if (join_id == disk) claimed = true;
     }
     if (!claimed) free_disks.push_back(disk);
@@ -105,7 +129,7 @@ HashJoinEngine::HashJoinEngine(sim::Machine* machine, Config config)
   if (free_disks.empty()) free_disks = disks_;
   size_t next_free = 1 % free_disks.size();  // offset breaks alignment
   for (size_t ji = 0; ji < jstate_.size(); ++ji) {
-    const sim::Node& join_node = machine_->node(config_.join_nodes[ji]);
+    const sim::Node& join_node = machine_->node(plan_.join_nodes[ji]);
     if (join_node.has_disk()) {
       jstate_[ji].host_disk_node = join_node.id();
     } else {
@@ -119,7 +143,7 @@ HashJoinEngine::HashJoinEngine(sim::Machine* machine, Config config)
 HashJoinEngine::~HashJoinEngine() { const Taken abandoned(jstate_); }
 
 std::vector<int> HashJoinEngine::Participants(bool with_disk_nodes) const {
-  std::vector<int> ids = config_.join_nodes;
+  std::vector<int> ids = plan_.join_nodes;
   if (with_disk_nodes) {
     ids.insert(ids.end(), disks_.begin(), disks_.end());
   }
@@ -139,9 +163,8 @@ void HashJoinEngine::StartSubJoin() {
     st.cutoff = UINT64_MAX;
     if (st.table == nullptr) {
       st.table = std::make_unique<JoinHashTable>(
-          &machine_->node(config_.join_nodes[ji]), config_.inner_schema,
-          config_.inner_field, config_.capacity_bytes_per_node,
-          config_.broker);
+          &machine_->node(plan_.join_nodes[ji]), &plan_.inner->schema(),
+          plan_.spec.inner_field, plan_.capacity_per_process, &broker_);
     } else {
       st.table->Clear();
     }
@@ -152,10 +175,9 @@ void HashJoinEngine::EnsureOverflowFile(size_t ji, bool is_inner) {
   JoinNodeState& st = jstate_[ji];
   auto& slot = is_inner ? st.r_overflow : st.s_overflow;
   if (slot == nullptr) {
-    const storage::Schema* schema =
-        is_inner ? config_.inner_schema : config_.outer_schema;
+    const db::StoredRelation* rel = is_inner ? plan_.inner : plan_.outer;
     slot = std::make_unique<storage::HeapFile>(
-        &machine_->node(st.host_disk_node), schema,
+        &machine_->node(st.host_disk_node), &rel->schema(),
         std::string(is_inner ? "ovfl-R." : "ovfl-S.") + std::to_string(ji) +
             "." + std::to_string(overflow_file_counter_));
   }
@@ -173,7 +195,7 @@ void HashJoinEngine::SpoolToOverflow(sim::Node& from, size_t ji,
   // its own node's entry (sim/memory_broker.h). Only totals are read.
   // Accounting only — the write itself is charged by the disk-side
   // drain.
-  config_.broker->NoteSpill(from.id(), bytes);
+  broker_.NoteSpill(from.id(), bytes);
   overflow_exchange_.Send(from.id(), jstate_[ji].host_disk_node,
                           OverflowMsg{std::move(t),
                                       static_cast<int32_t>(ji), is_inner},
@@ -220,17 +242,23 @@ void HashJoinEngine::HandleBuildArrival(sim::Node& n, size_t ji,
   }
 }
 
-void HashJoinEngine::HandleProbeBatch(sim::Node& n, size_t ji,
-                                      const RoutedTuple* msgs, size_t count) {
-  GAMMA_DCHECK(count <= JoinHashTable::kProbeBatchMax);
-  JoinNodeState& st = jstate_[ji];
+size_t HashJoinEngine::HandleProbeRun(sim::Node& n,
+                                      const std::vector<RoutedTuple>& lane,
+                                      size_t p) {
+  const RoutedTuple* msgs = &lane[p];
+  size_t count = 1;
+  while (p + count < lane.size() && count < JoinHashTable::kProbeBatchMax &&
+         msgs[count].kind == kProbe && msgs[count].aux == msgs[0].aux) {
+    ++count;
+  }
+  JoinNodeState& st = jstate_[static_cast<size_t>(msgs[0].aux)];
   int32_t keys[JoinHashTable::kProbeBatchMax];
   uint64_t hashes[JoinHashTable::kProbeBatchMax];
   // Key extraction is uncharged (as in the scalar probe path); hoisting
   // it out of the probe loop lets ProbeBatch prefetch every probe's
   // index line before the first compare.
-  const storage::Schema& schema = *config_.outer_schema;
-  const size_t field = static_cast<size_t>(config_.outer_field);
+  const storage::Schema& schema = plan_.outer->schema();
+  const size_t field = static_cast<size_t>(plan_.spec.outer_field);
   for (size_t k = 0; k < count; ++k) {
     keys[k] = schema.GetInt32(msgs[k].data, field);
     hashes[k] = msgs[k].hash;
@@ -240,6 +268,7 @@ void HashJoinEngine::HandleProbeBatch(sim::Node& n, size_t ji,
         EmitResult(n, storage::Tuple::Concat(r, msgs[k].data, msgs[k].size),
                    &st.store_rr_next, disks_, store_exchange_);
       });
+  return count;
 }
 
 Status HashJoinEngine::DrainDiskSides(BucketFileSet* buckets) {
@@ -260,8 +289,8 @@ Status HashJoinEngine::DrainDiskSides(BucketFileSet* buckets) {
           }
         });
     st.Update(StoreResults(n, machine_->DiskIndexOf(n.id()), store_exchange_,
-                           config_.result, *config_.inner_schema,
-                           config_.inner_field, config_.capture));
+                           plan_.result, plan_.inner->schema(),
+                           plan_.spec.inner_field, plan_.capture));
     if (buckets != nullptr) st.Update(buckets->FlushFilesOwnedBy(n.id()));
     return st;
   });
@@ -269,11 +298,11 @@ Status HashJoinEngine::DrainDiskSides(BucketFileSet* buckets) {
 
 void HashJoinEngine::BuildFilterFromResidents() {
   filter_ = std::make_unique<db::BitFilterSet>(
-      static_cast<int>(config_.join_nodes.size()));
+      static_cast<int>(plan_.join_nodes.size()));
   // Iterate PROCESSES grouped by node (a node may host several).
   machine_->RunOnNodes(Participants(false), [this](sim::Node& n) {
     for (size_t ji = 0; ji < jstate_.size(); ++ji) {
-      if (config_.join_nodes[ji] != n.id()) continue;
+      if (plan_.join_nodes[ji] != n.id()) continue;
       jstate_[ji].table->ForEachResidentHash([&](uint64_t hash) {
         n.ChargeCpu(n.cost().cpu_filter_op_seconds,
                     sim::CostCategory::kFilterOp);
@@ -282,7 +311,7 @@ void HashJoinEngine::BuildFilterFromResidents() {
     }
   });
   db::ChargeFilterDistribution(*machine_,
-                               static_cast<int>(config_.join_nodes.size()),
+                               static_cast<int>(plan_.join_nodes.size()),
                                static_cast<int>(disks_.size()));
 }
 
@@ -291,28 +320,19 @@ void HashJoinEngine::CollectChainStats() {
     const JoinHashTable::ChainStats cs = st.table->ComputeChainStats();
     chain_tuples_total_ += cs.tuples;
     chain_slots_total_ += cs.occupied_slots;
-    config_.stats->max_chain_length =
-        std::max(config_.stats->max_chain_length, cs.max);
+    stats_->max_chain_length = std::max(stats_->max_chain_length, cs.max);
   }
   if (chain_slots_total_ > 0) {
-    config_.stats->avg_chain_length =
+    stats_->avg_chain_length =
         static_cast<double>(chain_tuples_total_) /
         static_cast<double>(chain_slots_total_);
   }
 }
 
 Status HashJoinEngine::MaybeRebalance(const std::string& label) {
-  if (!config_.adaptive_repartition) return Status::OK();
+  if (!plan_.spec.adaptive_repartition) return Status::OK();
   const size_t num_processes = jstate_.size();
   machine_->BeginPhase(label);
-
-  // Each join site scans its resident histogram and ships the counts to
-  // the scheduler.
-  const std::vector<std::vector<uint64_t>> counts = db::GatherBinCounts(
-      *machine_, config_.join_nodes,
-      [this](size_t ji) -> const HashHistogram& {
-        return jstate_[ji].table->histogram();
-      });
 
   // An overflow-engaged sub-join keeps the static route: overflow files
   // were already written under the static mapping, and replicated
@@ -324,24 +344,21 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
   bool keep_static = false;
   for (const JoinNodeState& st : jstate_) {
     if (st.cutoff != UINT64_MAX ||
-        st.table->bytes_used() > config_.capacity_bytes_per_node) {
+        st.table->bytes_used() > plan_.capacity_per_process) {
       keep_static = true;
     }
   }
-  rebalance_plan_ = db::RebalancePlan{};
-  if (!keep_static) {
-    rebalance_plan_ = db::ComputeRebalancePlan(
-        counts, config_.inner_schema->tuple_bytes(),
-        config_.capacity_bytes_per_node, db::RebalanceOptions{});
-  }
-  db::ChargeRebalance(*machine_, static_cast<int>(num_processes),
-                      static_cast<int>(disks_.size()),
-                      rebalance_plan_.SerializedBytes());
+  // Each join site scans its resident histogram and ships the counts to
+  // the scheduler.
+  rebalance_plan_ = db::PlanRebalance(
+      *machine_, plan_.join_nodes,
+      [this](size_t ji) -> const HashHistogram& {
+        return jstate_[ji].table->histogram();
+      },
+      plan_.inner->schema().tuple_bytes(), plan_.capacity_per_process,
+      disks_.size(), keep_static);
 
   if (rebalance_plan_.active) {
-    ++machine_->node(config_.join_nodes[0]).counters().rebalance_plans;
-    rebalance_plan_.Install(disks_.size());
-
     // Round A: every process extracts its overridden-bin residents and
     // ships a view to each destination (possibly itself — a
     // short-circuited local delivery). The extracted tuples are parked
@@ -351,23 +368,14 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
         num_processes);
     machine_->RunOnNodes(Participants(false), [&](sim::Node& n) {
       for (size_t ji = 0; ji < num_processes; ++ji) {
-        if (config_.join_nodes[ji] != n.id()) continue;
+        if (plan_.join_nodes[ji] != n.id()) continue;
         migrated[ji] = jstate_[ji].table->ExtractIf([&](uint64_t hash) {
           return rebalance_plan_.DestinationsFor(hash) != nullptr;
         });
         for (const auto& [hash, tuple] : migrated[ji]) {
-          const std::vector<int>& dests =
-              *rebalance_plan_.DestinationsFor(hash);
-          ++n.counters().rebalance_moved_tuples;
-          n.counters().rebalance_replica_tuples +=
-              static_cast<int64_t>(dests.size()) - 1;
-          for (size_t k = 0; k < dests.size(); ++k) {
-            exchange_.Send(
-                n.id(), config_.join_nodes[static_cast<size_t>(dests[k])],
-                RoutedTuple{tuple.data(), tuple.size(), hash, kMigrate,
-                            dests[k]},
-                tuple.size());
-          }
+          SendMigrated(n, storage::TupleView{tuple.data(), tuple.size()},
+                       hash, *rebalance_plan_.DestinationsFor(hash),
+                       plan_.join_nodes, kMigrate, exchange_);
         }
       }
     });
@@ -395,7 +403,7 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
   // NEGATIVES at the new destinations and drop results).
   if (build_finalize_deferred_) {
     build_finalize_deferred_ = false;
-    if (config_.use_bit_filters) BuildFilterFromResidents();
+    if (plan_.spec.use_bit_filters) BuildFilterFromResidents();
     CollectChainStats();
   }
   return machine_->EndPhase();
@@ -403,31 +411,26 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
 
 Status HashJoinEngine::PartitionPhase(const std::string& label,
                                       const db::SplitTable& table,
-                                      const std::vector<Producer>& producers,
-                                      uint64_t seed, Side side,
-                                      BucketFileSet* buckets) {
-  GAMMA_CHECK_EQ(producers.size(), disks_.size());
+                                      const Scan& scan, uint64_t seed,
+                                      bool inner, BucketFileSet* buckets) {
   const bool has_stored_buckets = table.MaxBucket() > 0;
-  if (has_stored_buckets && buckets == nullptr) {
-    return Status::InvalidArgument(
-        "split table has stored buckets but no bucket files given");
-  }
+  GAMMA_DCHECK(!has_stored_buckets || buckets != nullptr);
 
-  if (side == Side::kOuter) {
+  if (!inner) {
     // Pre-create S-overflow files for every join node whose hash table
     // overflowed (the producers ship straight to them).
     for (size_t ji = 0; ji < jstate_.size(); ++ji) {
       if (jstate_[ji].cutoff != UINT64_MAX) EnsureOverflowFile(ji, false);
     }
-  } else if (has_stored_buckets && config_.use_bit_filters &&
-             config_.use_forming_bit_filters) {
+  } else if (has_stored_buckets && plan_.spec.use_bit_filters &&
+             plan_.spec.use_forming_bit_filters) {
     forming_filter_ =
         std::make_unique<db::BitFilterSet>(static_cast<int>(disks_.size()));
   }
 
   machine_->BeginPhase(label);
   const int consumers =
-      static_cast<int>(config_.join_nodes.size()) +
+      static_cast<int>(plan_.join_nodes.size()) +
       (has_stored_buckets ? static_cast<int>(disks_.size()) : 0);
   db::ChargeOperatorPhase(*machine_, static_cast<int>(disks_.size()),
                           consumers, table.SerializedBytes());
@@ -443,14 +446,13 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
   // on stored-bucket entries, and on the probe side the rebalance
   // override, the augmented split table's overflow cutoff and the bit
   // filter.
-  const bool inner = side == Side::kInner;
+  const db::StoredRelation* rel = inner ? plan_.inner : plan_.outer;
+  const RouteSource source{
+      &rel->schema(), inner ? plan_.spec.inner_field : plan_.spec.outer_field,
+      seed, &table, scan.predicate};
   phase_status.Update(machine_->TryRunOnNodes(
       disks_, [&](sim::Node& n) -> Status {
         const size_t di = machine_->DiskIndexOf(n.id());
-        const RouteSource source{
-            inner ? config_.inner_schema : config_.outer_schema,
-            inner ? config_.inner_field : config_.outer_field, seed, &table,
-            producers[di].predicate};
         const auto decide = [&](const storage::TupleView& view, uint64_t hash,
                                 uint32_t index) -> Route {
           const db::SplitEntry& entry = table.entry(index);
@@ -477,7 +479,7 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
           // tables are per-process, which permits several join processes
           // on one node (Appendix A's "fifth join process" remedy).
           GAMMA_DCHECK(index < jstate_.size());
-          GAMMA_DCHECK(config_.join_nodes[index] == entry.node);
+          GAMMA_DCHECK(plan_.join_nodes[index] == entry.node);
           if (inner) {
             return Route{entry.node, kBuild, static_cast<int32_t>(index)};
           }
@@ -496,12 +498,12 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
               return Route::Drop();
             }
           }
-          return Route{config_.join_nodes[ji], kProbe,
+          return Route{plan_.join_nodes[ji], kProbe,
                        static_cast<int32_t>(ji)};
         };
         RouteScratch scratch(static_cast<size_t>(machine_->num_nodes()));
-        return producers[di].scan(n, [&](const storage::TupleBlock& block) {
-          RouteBlock(n, source, block, exchange_, &scratch, decide);
+        return ScanFiles(n, scan, [&](size_t, const storage::TupleBlock& b) {
+          RouteBlock(n, source, b, exchange_, &scratch, decide);
         });
       }));
 
@@ -515,18 +517,10 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
         Status st;
         exchange_.DrainInboxBlocks(n.id(), [&](std::vector<RoutedTuple>&
                                                    lane) {
-          const size_t items = lane.size();
-          for (size_t p = 0; p < items;) {
+          for (size_t p = 0; p < lane.size();) {
             RoutedTuple& m = lane[p];
             if (m.kind == kProbe) {
-              size_t len = 1;
-              while (p + len < items && len < JoinHashTable::kProbeBatchMax &&
-                     lane[p + len].kind == kProbe &&
-                     lane[p + len].aux == m.aux) {
-                ++len;
-              }
-              HandleProbeBatch(n, static_cast<size_t>(m.aux), &lane[p], len);
-              p += len;
+              p += HandleProbeRun(n, lane, p);
               continue;
             }
             switch (m.kind) {
@@ -565,10 +559,10 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
   // keyed by join-process index, so they must be built from the
   // residency AFTER any heavy-bin migration.
   if (inner && table.HasImmediateBucket()) {
-    if (config_.adaptive_repartition) {
+    if (plan_.spec.adaptive_repartition) {
       build_finalize_deferred_ = true;
     } else {
-      if (config_.use_bit_filters) BuildFilterFromResidents();
+      if (plan_.spec.use_bit_filters) BuildFilterFromResidents();
       CollectChainStats();
     }
   }
@@ -624,19 +618,19 @@ HashJoinEngine::Taken::~Taken() {
   }
 }
 
-Status HashJoinEngine::ScanTaken(
-    sim::Node& n, const Taken& taken, bool inner_side,
+Status HashJoinEngine::ScanFiles(
+    sim::Node& n, const Scan& scan,
     const std::function<void(size_t, const storage::TupleBlock&)>& yield) {
-  for (size_t ji = 0; ji < jstate_.size(); ++ji) {
-    if (jstate_[ji].host_disk_node != n.id()) continue;
-    storage::HeapFile* file =
-        inner_side ? taken.r[ji].get() : taken.s[ji].get();
-    if (file == nullptr) continue;
-    GAMMA_RETURN_IF_ERROR(file->FlushAppends());
-    config_.broker->NoteRefill(n.id(), file->data_bytes());
+  for (size_t i = 0; i < scan.files.size(); ++i) {
+    storage::HeapFile* file = scan.files[i].get();
+    if (file == nullptr || file->node()->id() != n.id()) continue;
+    if (scan.taken) {
+      GAMMA_RETURN_IF_ERROR(file->FlushAppends());
+      broker_.NoteRefill(n.id(), file->data_bytes());
+    }
     GAMMA_RETURN_IF_ERROR(ScanBlocks(
         n, *file, exchange_,
-        [&](const storage::TupleBlock& block) { yield(ji, block); }));
+        [&](const storage::TupleBlock& block) { yield(i, block); }));
   }
   return Status::OK();
 }
@@ -658,75 +652,63 @@ Status HashJoinEngine::ResolveOverflows(const std::string& label,
     // inner overflow partition (all tuples share one key, or the budget
     // is smaller than one key-group) — another rehash would loop
     // forever on the same bytes.
-    if (level > config_.max_overflow_levels ||
+    if (level > plan_.spec.max_overflow_levels ||
         pending_inner_tuples >= prev_inner_tuples) {
       return NestedLoopFallback(label,
                                 OverflowLevelSeed(base_seed, level));
     }
     prev_inner_tuples = pending_inner_tuples;
-    config_.stats->overflow_levels =
-        std::max(config_.stats->overflow_levels, level);
+    stats_->overflow_levels = std::max(stats_->overflow_levels, level);
 
+    // Every disk node scans the taken files it hosts.
     const Taken taken(jstate_);
     ++overflow_file_counter_;
-    StartSubJoin();
-    const uint64_t seed = OverflowLevelSeed(base_seed, level);
-    const db::SplitTable joining = db::SplitTable::Joining(config_.join_nodes);
-    // Every disk node's producer scans the taken files it hosts.
-    const auto producers = [&](bool inner_side) {
-      const Producer scan_taken{
-          [this, &taken, inner_side](sim::Node& n, const BlockYield& yield) {
-            return ScanTaken(n, taken, inner_side,
-                             [&](size_t, const storage::TupleBlock& block) {
-                               yield(block);
-                             });
-          },
-          nullptr};
-      return std::vector<Producer>(disks_.size(), scan_taken);
-    };
-
-    const std::string level_tag = " L" + std::to_string(level);
-    GAMMA_RETURN_IF_ERROR(PartitionPhase(label + " build" + level_tag,
-                                         joining, producers(true), seed,
-                                         Side::kInner, nullptr));
-    GAMMA_RETURN_IF_ERROR(MaybeRebalance(label + " rebalance" + level_tag));
-    GAMMA_RETURN_IF_ERROR(PartitionPhase(label + " probe" + level_tag,
-                                         joining, producers(false), seed,
-                                         Side::kOuter, nullptr));
+    const std::string tag = " L" + std::to_string(level);
+    GAMMA_RETURN_IF_ERROR(BuildProbe(
+        {label + " build" + tag, label + " rebalance" + tag,
+         label + " probe" + tag},
+        db::SplitTable::Joining(plan_.join_nodes), taken.side(true),
+        taken.side(false), OverflowLevelSeed(base_seed, level), nullptr,
+        nullptr));
   }
   return Status::OK();
 }
 
 Status HashJoinEngine::NestedLoopFallback(const std::string& label,
                                           uint64_t seed) {
-  ++config_.stats->nested_loop_fallbacks;
+  ++stats_->nested_loop_fallbacks;
   const size_t num_processes = jstate_.size();
   int pass = 0;
   while (AnyOverflow()) {
     ++pass;
-    ++config_.stats->nested_loop_passes;
+    ++stats_->nested_loop_passes;
 
     const Taken taken(jstate_);
     ++overflow_file_counter_;
     StartSubJoin();
     const std::string pass_tag = " P" + std::to_string(pass);
-    Status fallback_status;
 
-    // Scans every file of `taken` on one side, shipping each tuple to
-    // its join process through the routing path's per-tuple read + hash
-    // charges. No split table: a fallback tuple's destination is the
-    // process whose overflow file held it.
-    const auto run_scan_round = [&](bool inner_side, RoutedKind kind) {
+    // One fallback phase: scans every file of `taken` on one side,
+    // shipping each tuple to its join process through the routing
+    // path's per-tuple read + hash charges (no split table: a fallback
+    // tuple's destination is the process whose overflow file held it),
+    // then drains every process's arrivals through `consume(n, lane)`.
+    const auto run_phase = [&](const char* name, bool inner, RoutedKind kind,
+                               const auto& consume) {
+      machine_->BeginPhase(label + name + pass_tag);
+      db::ChargeOperatorPhase(*machine_, static_cast<int>(disks_.size()),
+                              static_cast<int>(num_processes), 0);
+      const db::StoredRelation* rel = inner ? plan_.inner : plan_.outer;
       const RouteSource source{
-          inner_side ? config_.inner_schema : config_.outer_schema,
-          inner_side ? config_.inner_field : config_.outer_field, seed,
+          &rel->schema(),
+          inner ? plan_.spec.inner_field : plan_.spec.outer_field, seed,
           nullptr, nullptr};
-      return machine_->TryRunOnNodes(disks_, [&](sim::Node& n) -> Status {
+      Status st = machine_->TryRunOnNodes(disks_, [&](sim::Node& n) -> Status {
         RouteScratch scratch(static_cast<size_t>(machine_->num_nodes()));
-        return ScanTaken(
-            n, taken, inner_side,
+        return ScanFiles(
+            n, taken.side(inner),
             [&](size_t ji, const storage::TupleBlock& block) {
-              const Route owner{config_.join_nodes[ji], kind,
+              const Route owner{plan_.join_nodes[ji], kind,
                                 static_cast<int32_t>(ji)};
               RouteBlock(n, source, block, exchange_, &scratch,
                          [&](const storage::TupleView&, uint64_t, uint32_t) {
@@ -734,41 +716,41 @@ Status HashJoinEngine::NestedLoopFallback(const std::string& label,
                          });
             });
       });
+      st.Update(machine_->TryRunOnNodes(
+          Participants(false), [&](sim::Node& n) -> Status {
+            exchange_.DrainInboxBlocks(
+                n.id(),
+                [&](std::vector<RoutedTuple>& lane) { consume(n, lane); });
+            return Status::OK();
+          }));
+      st.Update(DrainDiskSides(nullptr));
+      st.Update(machine_->EndPhase());
+      return st;
     };
 
     // Build phase: FIFO-fill the resident tables from the remaining R
     // overflow — NO cutoff and NO eviction (the table is just the
     // resident-slice container; a slice is whatever prefix fits).
-    // Rejected tuples re-spool for the next pass.
-    machine_->BeginPhase(label + " nl build" + pass_tag);
-    db::ChargeOperatorPhase(*machine_, static_cast<int>(disks_.size()),
-                            static_cast<int>(num_processes), 0);
-    fallback_status.Update(run_scan_round(true, kBuild));
-    // One overflow event per (pass, process) that could not take its
-    // whole remaining file; per-process flags so concurrent consumer
-    // tasks never share a byte.
+    // Rejected tuples re-spool for the next pass. One overflow event
+    // per (pass, process) that could not take its whole remaining file;
+    // per-process flags so concurrent consumer tasks never share a byte.
     std::vector<uint8_t> rejected(num_processes, 0);
-    fallback_status.Update(machine_->TryRunOnNodes(
-        Participants(false), [&](sim::Node& n) -> Status {
-          exchange_.DrainInboxBlocks(
-              n.id(), [&](std::vector<RoutedTuple>& lane) {
-                for (RoutedTuple& m : lane) {
-                  const size_t ji = static_cast<size_t>(m.aux);
-                  storage::Tuple t(m.data, m.size);
-                  if (!jstate_[ji].table->Insert(std::move(t), m.hash)) {
-                    if (rejected[ji] == 0) {
-                      rejected[ji] = 1;
-                      ++n.counters().ht_overflows;
-                    }
-                    SpoolToOverflow(n, ji, /*is_inner=*/true, std::move(t));
-                  }
-                }
-              });
-          return Status::OK();
-        }));
-    fallback_status.Update(DrainDiskSides(nullptr));
+    Status fallback_status = run_phase(
+        " nl build", /*inner=*/true, kBuild,
+        [&](sim::Node& n, std::vector<RoutedTuple>& lane) {
+          for (RoutedTuple& m : lane) {
+            const size_t ji = static_cast<size_t>(m.aux);
+            storage::Tuple t(m.data, m.size);
+            if (!jstate_[ji].table->Insert(std::move(t), m.hash)) {
+              if (rejected[ji] == 0) {
+                rejected[ji] = 1;
+                ++n.counters().ht_overflows;
+              }
+              SpoolToOverflow(n, ji, /*is_inner=*/true, std::move(t));
+            }
+          }
+        });
     CollectChainStats();
-    fallback_status.Update(machine_->EndPhase());
 
     // Which processes still hold un-resident R? Their S must survive
     // this pass: every probe of theirs is re-spooled after probing.
@@ -784,102 +766,100 @@ Status HashJoinEngine::NestedLoopFallback(const std::string& label,
     // result pair (r, s) is produced in exactly one pass — the one
     // where r is resident — because slices partition the R overflow.
     if (fallback_status.ok()) {
-      machine_->BeginPhase(label + " nl probe" + pass_tag);
-      db::ChargeOperatorPhase(*machine_, static_cast<int>(disks_.size()),
-                              static_cast<int>(num_processes), 0);
-      fallback_status.Update(run_scan_round(false, kProbe));
-      fallback_status.Update(machine_->TryRunOnNodes(
-          Participants(false), [&](sim::Node& n) -> Status {
-            exchange_.DrainInboxBlocks(
-                n.id(), [&](std::vector<RoutedTuple>& lane) {
-                  const size_t items = lane.size();
-                  for (size_t p = 0; p < items;) {
-                    const RoutedTuple& m = lane[p];
-                    size_t len = 1;
-                    while (p + len < items &&
-                           len < JoinHashTable::kProbeBatchMax &&
-                           lane[p + len].aux == m.aux) {
-                      ++len;
-                    }
-                    const size_t ji = static_cast<size_t>(m.aux);
-                    HandleProbeBatch(n, ji, &lane[p], len);
-                    if (residual[ji] != 0) {
-                      for (size_t k = 0; k < len; ++k) {
-                        SpoolToOverflow(n, ji, /*is_inner=*/false,
-                                        storage::Tuple(lane[p + k].data,
-                                                       lane[p + k].size));
-                      }
-                    }
-                    p += len;
-                  }
-                });
-            return Status::OK();
-          }));
-      fallback_status.Update(DrainDiskSides(nullptr));
-      fallback_status.Update(machine_->EndPhase());
+      fallback_status = run_phase(
+          " nl probe", /*inner=*/false, kProbe,
+          [&](sim::Node& n, std::vector<RoutedTuple>& lane) {
+            for (size_t p = 0; p < lane.size();) {
+              const size_t ji = static_cast<size_t>(lane[p].aux);
+              const size_t len = HandleProbeRun(n, lane, p);
+              if (residual[ji] != 0) {
+                for (size_t k = p; k < p + len; ++k) {
+                  SpoolToOverflow(n, ji, /*is_inner=*/false,
+                                  storage::Tuple(lane[k].data, lane[k].size));
+                }
+              }
+              p += len;
+            }
+          });
     }
     GAMMA_RETURN_IF_ERROR(fallback_status);
   }
   return Status::OK();
 }
 
-Status HashJoinEngine::RunSubJoin(const std::string& label,
-                                  const std::vector<Producer>& build_producers,
-                                  const std::vector<Producer>& probe_producers,
-                                  uint64_t seed) {
-  StartSubJoin();
-  const db::SplitTable joining = db::SplitTable::Joining(config_.join_nodes);
-  GAMMA_RETURN_IF_ERROR(PartitionPhase(label + " build", joining,
-                                     build_producers, seed, Side::kInner,
-                                     nullptr));
-  GAMMA_RETURN_IF_ERROR(MaybeRebalance(label + " rebalance"));
-  GAMMA_RETURN_IF_ERROR(PartitionPhase(label + " probe", joining,
-                                     probe_producers, seed, Side::kOuter,
-                                     nullptr));
-  return ResolveOverflows(label + " ovfl", seed);
+Status HashJoinEngine::BuildProbe(const PhaseLabels& labels,
+                                  const db::SplitTable& table, const Scan& r,
+                                  const Scan& s, uint64_t seed,
+                                  BucketFileSet* r_buckets,
+                                  BucketFileSet* s_buckets) {
+  const bool live = table.HasImmediateBucket();
+  if (live) StartSubJoin();
+  GAMMA_RETURN_IF_ERROR(
+      PartitionPhase(labels.build, table, r, seed, /*inner=*/true, r_buckets));
+  // Adaptive repartitioning happens before S is scanned, so an
+  // overridden bin's probe tuples route straight to their new homes.
+  if (live) GAMMA_RETURN_IF_ERROR(MaybeRebalance(labels.rebalance));
+  return PartitionPhase(labels.probe, table, s, seed, /*inner=*/false,
+                        s_buckets);
 }
 
-std::vector<Producer> HashJoinEngine::BucketProducers(BucketFileSet* files,
-                                                      int bucket) {
-  std::vector<Producer> producers;
-  producers.reserve(disks_.size());
-  for (size_t di = 0; di < disks_.size(); ++di) {
-    producers.push_back(Producer{
-        [this, files, bucket, di](sim::Node& n, const BlockYield& yield) {
-          return ScanBlocks(n, files->file(bucket, di), exchange_, yield);
-        },
-        nullptr});
+Status HashJoinEngine::Run() {
+  const JoinSpec& spec = plan_.spec;
+  const uint64_t seed = spec.hash_seed;
+  // The two per-algorithm inputs: the split table — Hybrid's joins
+  // bucket 0 at the join processes while it stores buckets 1..N-1 on
+  // the disks, Simple's is Hybrid's with one bucket, and Grace's stores
+  // every bucket — and the row of phase labels.
+  const db::SplitTable table =
+      spec.algorithm == Algorithm::kGraceHash
+          ? db::SplitTable::GracePartitioning(disks_, plan_.num_buckets)
+          : db::SplitTable::HybridPartitioning(plan_.join_nodes, disks_,
+                                               plan_.num_buckets);
+  GAMMA_DCHECK(spec.algorithm != Algorithm::kSortMerge);
+  const AlgorithmLabels& labels =
+      kAlgorithmLabels[static_cast<int>(spec.algorithm) -
+                       static_cast<int>(Algorithm::kSimpleHash)];
+  const std::string name = labels.name;
+  const int stored = table.MaxBucket();
+  BucketFileSet r_buckets(machine_, &plan_.inner->schema(), stored,
+                          name + ".R");
+  BucketFileSet s_buckets(machine_, &plan_.outer->schema(), stored,
+                          name + ".S");
+
+  // Partitioning R builds bucket 0's hash tables while it stores the
+  // other buckets; partitioning S probes them.
+  GAMMA_RETURN_IF_ERROR(BuildProbe(
+      {labels.build, labels.rebalance, labels.probe}, table,
+      Scan{plan_.inner->fragments(), &spec.inner_predicate},
+      Scan{plan_.outer->fragments(), &spec.outer_predicate}, seed,
+      &r_buckets, &s_buckets));
+  GAMMA_RETURN_IF_ERROR(ResolveOverflows(labels.overflow, seed));
+
+  // Each stored bucket is an independent sub-join.
+  const db::SplitTable joining = db::SplitTable::Joining(plan_.join_nodes);
+  for (int b = 1; b <= stored; ++b) {
+    const std::string sub = name + " bucket " + std::to_string(b);
+    GAMMA_RETURN_IF_ERROR(BuildProbe(
+        {sub + " build", sub + " rebalance", sub + " probe"}, joining,
+        Scan{r_buckets.Bucket(b)}, Scan{s_buckets.Bucket(b)}, seed, nullptr,
+        nullptr));
+    GAMMA_RETURN_IF_ERROR(ResolveOverflows(sub + " ovfl", seed));
+    r_buckets.FreeBucket(b);
+    s_buckets.FreeBucket(b);
   }
-  return producers;
-}
 
-std::vector<Producer> HashJoinEngine::RelationProducers(
-    const db::StoredRelation* relation, const db::PredicateList* predicate) {
-  GAMMA_CHECK_EQ(relation->num_fragments(), disks_.size());
-  std::vector<Producer> producers;
-  producers.reserve(disks_.size());
-  for (size_t di = 0; di < disks_.size(); ++di) {
-    // The predicate rides on the Producer; RouteBlock evaluates and
-    // charges it per tuple between the read and route charges, exactly
-    // where the scalar producer loop charged it.
-    producers.push_back(Producer{
-        [this, relation, di](sim::Node& n, const BlockYield& yield) {
-          return ScanBlocks(n, relation->fragment(di), exchange_, yield);
-        },
-        predicate});
-  }
-  return producers;
-}
-
-Status HashJoinEngine::FinalizeResult() {
+  // One final phase flushes the result relation's partial pages.
   machine_->BeginPhase("store flush");
   Status flush_status =
       machine_->TryRunOnNodes(disks_, [this](sim::Node& n) -> Status {
-        return config_.result->fragment(machine_->DiskIndexOf(n.id()))
+        return plan_.result->fragment(machine_->DiskIndexOf(n.id()))
             .FlushAppends();
       });
   flush_status.Update(machine_->EndPhase());
-  return flush_status;
+  GAMMA_RETURN_IF_ERROR(flush_status);
+  stats_->spill_bytes = static_cast<int64_t>(broker_.TotalSpillBytes());
+  stats_->refill_bytes = static_cast<int64_t>(broker_.TotalRefillBytes());
+  return Status::OK();
 }
 
 }  // namespace gammadb::join

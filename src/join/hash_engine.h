@@ -23,15 +23,19 @@
 //  * optionally, a per-sub-join 2 KB bit filter is built from the
 //    hash-table residents and applied by the outer producers.
 //
-// Simple = one sub-join over the whole input. Grace = bucket-forming
-// partition phases, then one sub-join per stored bucket. Hybrid =
-// partition phases whose bucket 0 is a live sub-join, then Grace-style
-// sub-joins for the stored buckets.
+// One Run executes all three as one phase sequence over their split
+// table: partition R and S through it (its bucket-0 entries make a live
+// sub-join whose overflow is resolved next), then join each stored
+// bucket as a sub-join of its own. The algorithms differ only in that
+// table and in their phase labels. Hybrid's table stores buckets
+// 1..N-1; Simple's is Hybrid's with one bucket, a plain joining table;
+// Grace's stores every bucket, so its partition phases only form them.
 #ifndef GAMMA_JOIN_HASH_ENGINE_H_
 #define GAMMA_JOIN_HASH_ENGINE_H_
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,33 +46,15 @@
 #include "gamma/rebalance.h"
 #include "gamma/split_table.h"
 #include "join/hash_table.h"
+#include "join/plan.h"
 #include "join/repartition.h"
-#include "join/spec.h"
 #include "sim/exchange.h"
 #include "sim/machine.h"
+#include "sim/memory_broker.h"
 #include "storage/heap_file.h"
 #include "storage/tuple_block.h"
 
 namespace gammadb::join {
-
-/// Yield callback for block-granular producers: invoked once per scan
-/// block; the views are only valid for the duration of the call.
-using BlockYield = std::function<void(const storage::TupleBlock&)>;
-
-/// A per-disk-node tuple source. `scan` runs on that node's executor
-/// task and must call `yield` once per block of source tuples; it
-/// charges page I/O only — the per-tuple read CPU (and the predicate,
-/// if any) is charged by the CONSUMER per tuple, which keeps the
-/// per-tuple charge chain (read, predicate, route, filter) contiguous
-/// and in scalar order even though the scan is batched. `scan` returns
-/// non-OK when it hits a hard I/O error (fault injection); the phase
-/// then fails and the join driver restarts the operator.
-struct Producer {
-  std::function<Status(sim::Node&, const BlockYield&)> scan;
-  /// Optional conjunctive selection, evaluated (and charged) per tuple
-  /// by the routing consumer. Null or empty means no selection.
-  const db::PredicateList* predicate = nullptr;
-};
 
 /// Bucket fragment files: one heap file per (bucket, disk node), as in
 /// Figure 3 of the paper ("each bucket is partitioned across all
@@ -97,6 +83,12 @@ class BucketFileSet {
 
   uint64_t BucketTuples(int bucket) const;
 
+  /// The fragments of `bucket`, parallel to the disk nodes.
+  const std::vector<std::unique_ptr<storage::HeapFile>>& Bucket(
+      int bucket) const {
+    return files_[static_cast<size_t>(bucket - 1)];
+  }
+
   void FreeBucket(int bucket);
 
  private:
@@ -107,104 +99,22 @@ class BucketFileSet {
 
 class HashJoinEngine {
  public:
-  struct Config {
-    std::vector<int> join_nodes;  // node ids executing the join
-    const storage::Schema* inner_schema;
-    const storage::Schema* outer_schema;
-    int inner_field;
-    int outer_field;
-    uint64_t capacity_bytes_per_node;
-    bool use_bit_filters;
-    /// Extension: filter the outer relation's bucket-forming pass with
-    /// a filter built while the inner relation's buckets formed.
-    bool use_forming_bit_filters = false;
-    /// Extension: skew-aware adaptive repartitioning (docs/skew.md).
-    /// When set, each sub-join gathers resident histogram counts after
-    /// its build and may install a heavy-bin override table before the
-    /// probing phase (MaybeRebalance).
-    bool adaptive_repartition = false;
-    /// Bound on overflow-resolution recursion depth before the
-    /// block-nested-loop fallback engages (JoinSpec::max_overflow_levels;
-    /// docs/overflow.md). Must be >= 0; 0 sends the first overflow
-    /// straight to the fallback.
-    int max_overflow_levels = 16;
-    /// Per-node build-memory broker (sim/memory_broker.h), required:
-    /// hash-table admission draws on the owning node's shared budget,
-    /// and overflow spill/refill bytes are recorded on it — each on the
-    /// node whose task spools or re-reads the bytes.
-    sim::MemoryBroker* broker;
-    db::StoredRelation* result;  // fragments parallel to the disk nodes
-    JoinStats* stats;
-    /// Result capture (docs/testing.md): when non-null (parallel to the
-    /// disk nodes), every result record appended to fragment i is also
-    /// streamed into (*capture)[i] — one accumulator per disk node, so
-    /// the concurrent store tasks never share one. Adds no simulated
-    /// charge anywhere.
-    std::vector<DigestAccumulator>* capture = nullptr;
-  };
-
-  HashJoinEngine(sim::Machine* machine, Config config);
+  /// Sets up `plan`'s join processes, each with its hash-table budget
+  /// in a per-node build-memory broker (sim/memory_broker.h): the
+  /// processes on one node draw on one shared pool, and overflow
+  /// spill/refill bytes are recorded on it — each on the node whose
+  /// task spools or re-reads the bytes. Statistics go to `stats`.
+  HashJoinEngine(sim::Machine* machine, const JoinPlan& plan,
+                 JoinStats* stats);
   /// Frees overflow files abandoned by a failed (faulted) sub-join.
   ~HashJoinEngine();
 
-  enum class Side { kInner, kOuter };
-
-  /// Resets per-sub-join state (hash tables, cutoffs, filter). Overflow
-  /// files accumulated by the previous sub-join must already have been
-  /// consumed or taken.
-  void StartSubJoin();
-
-  /// Runs one partition phase: producers (one per disk node) route
-  /// tuples hashed with `seed` through `table`. Bucket-0 entries build
-  /// (kInner) or probe (kOuter) the hash tables; stored-bucket entries
-  /// are appended to `buckets` (required iff the table has buckets).
-  /// For kInner with filters enabled, the phase ends by rebuilding the
-  /// bit filter from the hash-table residents and charging its
-  /// distribution.
-  Status PartitionPhase(const std::string& label, const db::SplitTable& table,
-                        const std::vector<Producer>& producers, uint64_t seed,
-                        Side side, BucketFileSet* buckets);
-
-  /// Adaptive repartitioning: runs between a sub-join's build and probe
-  /// phases. Gathers the per-process resident histograms, computes a
-  /// heavy-bin override plan (gamma/rebalance.h), migrates or
-  /// replicates the overridden residents, and installs the plan for the
-  /// probing phase — all inside its own charged phase whose label
-  /// contains "rebalance" (fault injection can target it). A no-op
-  /// returning OK when config.adaptive_repartition is false.
-  Status MaybeRebalance(const std::string& label);
-
-  /// Joins overflow files recursively with a fresh (level-mixed) hash
-  /// function per level until none remain (the paper's Simple-hash
-  /// overflow resolution). Bounded: a sub-join still overflowing after
-  /// Config::max_overflow_levels repartitions, or whose overflow
-  /// partition stops shrinking (duplicate-heavy keys no rehash can
-  /// split), degrades to the deterministic block-nested-loop fallback
-  /// instead of failing (docs/overflow.md).
-  Status ResolveOverflows(const std::string& label, uint64_t base_seed);
+  /// Runs the plan's hash join (one attempt) and flushes the result.
+  Status Run();
 
   /// The level-distinct split seed used by ResolveOverflows (level 0 =
   /// the caller's seed; exposed for tests).
   static uint64_t OverflowLevelSeed(uint64_t base_seed, int level);
-
-  /// Convenience: a full sub-join of the given producers through a
-  /// plain joining split table, overflow resolution included.
-  Status RunSubJoin(const std::string& label,
-                    const std::vector<Producer>& build_producers,
-                    const std::vector<Producer>& probe_producers,
-                    uint64_t seed);
-
-  /// Producers that scan bucket `bucket` of `files` (flushing trailing
-  /// pages first).
-  std::vector<Producer> BucketProducers(BucketFileSet* files, int bucket);
-
-  /// Producers that scan the fragments of a stored relation, applying a
-  /// selection predicate.
-  std::vector<Producer> RelationProducers(const db::StoredRelation* relation,
-                                          const db::PredicateList* predicate);
-
-  /// Flushes the result relation's partial pages (one final phase).
-  Status FinalizeResult();
 
  private:
   struct JoinNodeState {
@@ -232,6 +142,22 @@ class HashJoinEngine {
     kMigrate,  // rebalance: resident moving to its override destination
   };
 
+  /// What one side of a partition phase scans: each disk node scans, in
+  /// order, the `files` it hosts (null entries are skipped), applying
+  /// `predicate` (null = no selection). A resolution level's taken
+  /// overflow files (`taken`) each get their tail flushed and their
+  /// bytes booked as a broker refill just before their scan.
+  struct Scan {
+    std::span<const std::unique_ptr<storage::HeapFile>> files;
+    const db::PredicateList* predicate = nullptr;
+    bool taken = false;
+  };
+
+  /// The labels of one build -> rebalance -> probe sequence.
+  struct PhaseLabels {
+    std::string build, rebalance, probe;
+  };
+
   std::vector<int> Participants(bool with_disk_nodes) const;
 
   /// The overflow files of one resolution level or fallback pass, moved
@@ -243,22 +169,66 @@ class HashJoinEngine {
     ~Taken();
     Taken(const Taken&) = delete;
     Taken& operator=(const Taken&) = delete;
+    /// One side's files, in join-process order, as a scan.
+    Scan side(bool inner) const { return Scan{inner ? r : s, nullptr, true}; }
     std::vector<std::unique_ptr<storage::HeapFile>> r, s;
   };
 
-  /// Scans one side of `taken` at disk node `n`: every file that node
-  /// hosts, in join-process order, flushing its tail and booking the
-  /// refill first; calls `yield(ji, block)` for each scan block.
-  Status ScanTaken(
-      sim::Node& n, const Taken& taken, bool inner_side,
+  /// Scans at disk node `n` every file of `scan` it hosts, in order;
+  /// calls `yield(i, block)` for each scan block of scan.files[i].
+  Status ScanFiles(
+      sim::Node& n, const Scan& scan,
       const std::function<void(size_t, const storage::TupleBlock&)>& yield);
+
+  /// Resets per-sub-join state (hash tables, cutoffs, filter). Overflow
+  /// files accumulated by the previous sub-join must already have been
+  /// consumed or taken.
+  void StartSubJoin();
+
+  /// One build -> rebalance -> probe sequence: partition phases of `r`
+  /// then `s` through `table`, hashing with `seed`. When the table has
+  /// bucket-0 entries they make a fresh live sub-join, rebalanced
+  /// between its two sides; stored-bucket entries are appended to
+  /// `r_buckets`/`s_buckets` (required iff the table has buckets).
+  Status BuildProbe(const PhaseLabels& labels, const db::SplitTable& table,
+                    const Scan& r, const Scan& s, uint64_t seed,
+                    BucketFileSet* r_buckets, BucketFileSet* s_buckets);
+
+  /// Runs one partition phase: every disk node scans its `scan` files
+  /// and routes the tuples hashed with `seed` through `table`. Bucket-0
+  /// entries build (`inner`) or probe the hash tables; stored-bucket
+  /// entries are appended to `buckets`. For the inner side with filters
+  /// enabled, the phase ends by rebuilding the bit filter from the
+  /// hash-table residents and charging its distribution.
+  Status PartitionPhase(const std::string& label, const db::SplitTable& table,
+                        const Scan& scan, uint64_t seed, bool inner,
+                        BucketFileSet* buckets);
+
+  /// Adaptive repartitioning: runs between a sub-join's build and probe
+  /// phases. Gathers the per-process resident histograms, computes a
+  /// heavy-bin override plan (gamma/rebalance.h), migrates or
+  /// replicates the overridden residents, and installs the plan for the
+  /// probing phase — all inside its own charged phase whose label
+  /// contains "rebalance" (fault injection can target it). A no-op
+  /// returning OK unless JoinSpec::adaptive_repartition is set.
+  Status MaybeRebalance(const std::string& label);
+
+  /// Joins overflow files recursively with a fresh (level-mixed) hash
+  /// function per level until none remain (the paper's Simple-hash
+  /// overflow resolution). Bounded: a sub-join still overflowing after
+  /// JoinSpec::max_overflow_levels repartitions, or whose overflow
+  /// partition stops shrinking (duplicate-heavy keys no rehash can
+  /// split), degrades to the deterministic block-nested-loop fallback
+  /// instead of failing (docs/overflow.md).
+  Status ResolveOverflows(const std::string& label, uint64_t base_seed);
 
   void HandleBuildArrival(sim::Node& n, size_t ji, uint64_t hash,
                           storage::Tuple&& t);
-  /// Probes a run of same-process kProbe arrivals through
-  /// JoinHashTable::ProbeBatch (prefetched), `count` <= kProbeBatchMax.
-  void HandleProbeBatch(sim::Node& n, size_t ji, const RoutedTuple* msgs,
-                        size_t count);
+  /// Probes the run of same-process kProbe arrivals starting at
+  /// lane[p], at most kProbeBatchMax long, through
+  /// JoinHashTable::ProbeBatch (prefetched); returns the run's length.
+  size_t HandleProbeRun(sim::Node& n, const std::vector<RoutedTuple>& lane,
+                        size_t p);
   void SpoolToOverflow(sim::Node& from, size_t ji, bool is_inner,
                        storage::Tuple&& t);
   void EnsureOverflowFile(size_t ji, bool is_inner);
@@ -279,8 +249,12 @@ class HashJoinEngine {
   bool AnyOverflow() const;
 
   sim::Machine* machine_;
-  Config config_;
+  const JoinPlan& plan_;
+  JoinStats* stats_;
   const std::vector<int> disks_;  // the machine's disk nodes (producers)
+  /// Declared before jstate_: the hash tables release their
+  /// reservations into it on destruction.
+  sim::MemoryBroker broker_;
   sim::Exchange<RoutedTuple> exchange_;
   sim::Exchange<OverflowMsg> overflow_exchange_;
   sim::Exchange<storage::Tuple> store_exchange_;

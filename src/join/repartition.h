@@ -196,6 +196,25 @@ Status ScanBlocks(sim::Node& node, const storage::HeapFile& file,
   return scanner.status();
 }
 
+/// Rebalance round A's send (docs/skew.md): ships a view of one
+/// migrating resident from `node` to every destination process `dests`
+/// of its bin (process p runs on `process_nodes[p]` and receives it as
+/// `kind` with aux p), counting the tuple as moved and its extra copies
+/// as replicas.
+inline void SendMigrated(sim::Node& node, const storage::TupleView& view,
+                         uint64_t hash, const std::vector<int>& dests,
+                         const std::vector<int>& process_nodes, uint8_t kind,
+                         sim::Exchange<RoutedTuple>& exchange) {
+  ++node.counters().rebalance_moved_tuples;
+  node.counters().rebalance_replica_tuples +=
+      static_cast<int64_t>(dests.size()) - 1;
+  for (int dest : dests) {
+    exchange.Send(node.id(), process_nodes[static_cast<size_t>(dest)],
+                  RoutedTuple{view.data, view.size, hash, kind, dest},
+                  view.size);
+  }
+}
+
 /// Ships one result tuple from `node` to the store operator of the next
 /// disk node in its round-robin order (`*rr` is the sending process's
 /// cursor), charging the result build.

@@ -86,23 +86,22 @@ void MergeJoinStreams(sim::Node& node, storage::TupleStream* r_stream,
 
 }  // namespace
 
-Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
+Status RunSortMergeJoin(sim::Machine& machine, const JoinPlan& plan,
                         JoinStats* stats) {
+  const JoinSpec& spec = plan.spec;
   const std::vector<int> disks = machine.DiskNodeIds();
   const size_t d = disks.size();
   const db::SplitTable joining = db::SplitTable::Joining(disks);
 
-  const storage::Schema& r_schema = params.inner->schema();
-  const storage::Schema& s_schema = params.outer->schema();
-  if (params.inner->num_fragments() != d || params.outer->num_fragments() != d) {
-    return Status::InvalidArgument("relations not declustered over all disks");
-  }
+  const storage::Schema& r_schema = plan.inner->schema();
+  const storage::Schema& s_schema = plan.outer->schema();
 
   const uint32_t page_bytes = machine.cost().page_bytes;
+  // One budget sorts both relations (the paper varies one budget).
   // Clamped before the narrowing cast: a budget of 2^32 pages or more
   // per node must not wrap to the 3-page minimum.
   const auto sort_pages_per_node = static_cast<uint32_t>(std::clamp<uint64_t>(
-      params.memory_bytes / d / page_bytes, 3, UINT32_MAX));
+      plan.memory_bytes / d / page_bytes, 3, UINT32_MAX));
 
   std::vector<SiteState> sites(d);
   for (size_t di = 0; di < d; ++di) {
@@ -117,7 +116,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   sim::Exchange<RoutedTuple> exchange(&machine);
   sim::Exchange<storage::Tuple> store_exchange(&machine);
   std::unique_ptr<db::BitFilterSet> filter;
-  if (params.use_bit_filters) {
+  if (spec.use_bit_filters) {
     filter = std::make_unique<db::BitFilterSet>(static_cast<int>(d));
   }
 
@@ -125,9 +124,9 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   // it arrives (free alongside the append, like the hash tables'
   // overflow histograms); the plan computed from those counts overrides
   // heavy bins' routing for S and redistributes R' before sorting.
-  const bool adaptive = params.adaptive_repartition && d >= 2;
+  const bool adaptive = spec.adaptive_repartition && d >= 2;
   std::vector<HashHistogram> site_hist(adaptive ? d : 0);
-  db::RebalancePlan plan;
+  db::RebalancePlan rebalance;
 
   // A receiving site's drain: stores every arrival in `file`, setting the
   // site's bit-filter slice for inner-relation tuples (the slices are
@@ -162,11 +161,11 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   // the phase barrier even when a node failed); only the first error is
   // kept.
   const auto partition_phase = [&](const char* label, bool inner) -> Status {
-    const db::StoredRelation* rel = inner ? params.inner : params.outer;
+    const db::StoredRelation* rel = inner ? plan.inner : plan.outer;
     const RouteSource source{
-        &rel->schema(), inner ? params.inner_field : params.outer_field,
-        params.hash_seed, &joining,
-        inner ? params.inner_predicate : params.outer_predicate};
+        &rel->schema(), inner ? spec.inner_field : spec.outer_field,
+        spec.hash_seed, &joining,
+        inner ? &spec.inner_predicate : &spec.outer_predicate};
     machine.BeginPhase(label);
     db::ChargeOperatorPhase(machine, static_cast<int>(d), static_cast<int>(d),
                             joining.SerializedBytes());
@@ -176,7 +175,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
           const auto decide = [&](const storage::TupleView&, uint64_t hash,
                                   uint32_t index) -> Route {
             if (inner) return Route{disks[index], 0, 0};
-            const size_t site = plan.RouteProbe(di, hash, index);
+            const size_t site = rebalance.RouteProbe(di, hash, index);
             if (filter != nullptr) {
               n.ChargeCpu(n.cost().cpu_filter_op_seconds,
                           sim::CostCategory::kFilterOp);
@@ -214,7 +213,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
           SideFiles& side = sites[machine.DiskIndexOf(n.id())].side(inner);
           side.sort = std::make_unique<storage::ExternalSort>(
               &n, inner ? &r_schema : &s_schema,
-              inner ? params.inner_field : params.outer_field,
+              inner ? spec.inner_field : spec.outer_field,
               sort_pages_per_node);
           GAMMA_RETURN_IF_ERROR(side.sort->AddFile(*side.temp));
           side.temp->Free();
@@ -233,18 +232,12 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   // capacity.
   const auto rebalance_phase = [&]() -> Status {
     machine.BeginPhase("sm rebalance R");
-    plan = db::ComputeRebalancePlan(
-        db::GatherBinCounts(machine, disks,
-                            [&](size_t di) -> const HashHistogram& {
-                              return site_hist[di];
-                            }),
-        r_schema.tuple_bytes(), UINT64_MAX, db::RebalanceOptions{});
-    db::ChargeRebalance(machine, static_cast<int>(d), static_cast<int>(d),
-                        plan.SerializedBytes());
+    rebalance = db::PlanRebalance(
+        machine, disks,
+        [&](size_t di) -> const HashHistogram& { return site_hist[di]; },
+        r_schema.tuple_bytes(), UINT64_MAX, d, /*keep_static=*/false);
     Status reb_status;
-    if (plan.active) {
-      ++machine.node(disks[0]).counters().rebalance_plans;
-      plan.Install(d);
+    if (rebalance.active) {
       // Round A: every site rewrites its R' through RouteBlock —
       // overridden bins ship a view to each destination, the rest land
       // in the replacement file, and `decide` consumes every tuple. An
@@ -256,21 +249,15 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
             &machine.node(disks[di]), &r_schema,
             "smR.reb." + std::to_string(di));
       }
-      const RouteSource source{&r_schema, params.inner_field,
-                               params.hash_seed, nullptr, nullptr};
+      const RouteSource source{&r_schema, spec.inner_field, spec.hash_seed,
+                               nullptr, nullptr};
       reb_status = machine.TryRunOnNodes(disks, [&](sim::Node& n) -> Status {
         const size_t di = machine.DiskIndexOf(n.id());
         Status st;
         const auto decide = [&](const storage::TupleView& v, uint64_t hash,
                                 uint32_t) -> Route {
-          if (const std::vector<int>* dests = plan.DestinationsFor(hash)) {
-            ++n.counters().rebalance_moved_tuples;
-            n.counters().rebalance_replica_tuples +=
-                static_cast<int64_t>(dests->size()) - 1;
-            for (int dest : *dests) {
-              exchange.Send(n.id(), disks[static_cast<size_t>(dest)],
-                            RoutedTuple{v.data, v.size, hash, 0, 0}, v.size);
-            }
+          if (const auto* dests = rebalance.DestinationsFor(hash)) {
+            SendMigrated(n, v, hash, *dests, disks, 0, exchange);
           } else {
             st.Update(keep[di]->AppendRecord(v.data));
           }
@@ -314,8 +301,8 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
           auto r_stream = site.r.sort->OpenStream();
           auto s_stream = site.s.sort->OpenStream();
           MergeJoinStreams(
-              n, r_stream.get(), s_stream.get(), r_schema, params.inner_field,
-              s_schema, params.outer_field,
+              n, r_stream.get(), s_stream.get(), r_schema, spec.inner_field,
+              s_schema, spec.outer_field,
               [&](const storage::Tuple& r, const storage::Tuple& s) {
                 EmitResult(n, storage::Tuple::Concat(r, s),
                            &site.store_rr_next, disks, store_exchange);
@@ -326,10 +313,9 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     merge_status.Update(machine.TryRunOnNodes(
         disks, [&](sim::Node& n) -> Status {
           const size_t di = machine.DiskIndexOf(n.id());
-          Status st = StoreResults(n, di, store_exchange, params.result,
-                                   r_schema, params.inner_field,
-                                   params.capture);
-          st.Update(params.result->fragment(di).FlushAppends());
+          Status st = StoreResults(n, di, store_exchange, plan.result,
+                                   r_schema, spec.inner_field, plan.capture);
+          st.Update(plan.result->fragment(di).FlushAppends());
           return st;
         }));
     merge_status.Update(machine.EndPhase());

@@ -98,12 +98,16 @@ join::JoinSpec BuildSpec(const FuzzConfig& config, const sim::Machine& machine,
   spec.inner_field = 0;
   spec.outer_field = 0;
   spec.algorithm = config.algorithm;
-  if (config.remote && config.algorithm != join::Algorithm::kSortMerge) {
-    spec.join_nodes = machine.DisklessNodeIds();
+  // `procs` join processes on each join node; sort-merge always joins
+  // with one per disk node.
+  const bool hash = config.algorithm != join::Algorithm::kSortMerge;
+  const std::vector<int> nodes = hash && config.remote
+                                     ? machine.DisklessNodeIds()
+                                     : machine.DiskNodeIds();
+  for (int p = 0; p < (hash ? config.procs : 1); ++p) {
+    spec.join_nodes.insert(spec.join_nodes.end(), nodes.begin(), nodes.end());
   }
-  const uint64_t join_procs =
-      spec.join_nodes.empty() ? static_cast<uint64_t>(kNumDiskNodes)
-                              : spec.join_nodes.size();
+  const uint64_t join_procs = spec.join_nodes.size();
   // Absolute budget (the ratio path divides by |R|, which may be 0
   // here), floored so every generated plan is valid: at least one tuple
   // per join process (driver check). The overflow path is total
@@ -217,6 +221,7 @@ FuzzConfig RandomConfig(uint64_t seed) {
   c.adaptive_repartition = rng.Uniform(10) < 3;
   c.fault_seed = rng.Uniform(10) < 3 ? 1 + rng.Uniform(1000000) : 0;
   c.max_levels = PickFrom(rng, {16, 16, 16, 16, 8, 4, 2, 1, 0});
+  c.procs = PickFrom(rng, {1, 1, 2, 3});
   return c;
 }
 
@@ -247,17 +252,18 @@ FuzzConfig RandomDeepOverflowConfig(uint64_t seed) {
   c.fault_seed = rng.Uniform(10) < 2 ? 1 + rng.Uniform(1000000) : 0;
   // Bias toward shallow caps so the nested-loop fallback fires often.
   c.max_levels = PickFrom(rng, {0, 1, 2, 2, 3, 4, 8, 16});
+  c.procs = PickFrom(rng, {1, 1, 2, 3});
   return c;
 }
 
 std::string FuzzConfig::ToReproString() const {
   return StrFormat(
       "algo=%s threads=%d inner=%u outer=%u domain=%u theta=%.3f sel=%d "
-      "mem=%d slack0=%d hpja=%d remote=%d bf=%d fbf=%d adapt=%d faults=%llu "
-      "maxlvl=%d data=%llu inject=%d",
+      "mem=%d slack0=%d hpja=%d remote=%d procs=%d bf=%d fbf=%d adapt=%d "
+      "faults=%llu maxlvl=%d data=%llu inject=%d",
       join::AlgorithmName(algorithm), threads, inner_tuples, outer_tuples,
       key_domain, zipf_theta, sel_pct, memory_pct, static_cast<int>(zero_slack),
-      static_cast<int>(hpja), static_cast<int>(remote),
+      static_cast<int>(hpja), static_cast<int>(remote), procs,
       static_cast<int>(bit_filters), static_cast<int>(forming_bit_filters),
       static_cast<int>(adaptive_repartition),
       static_cast<unsigned long long>(fault_seed), max_levels,
@@ -322,6 +328,8 @@ Result<FuzzConfig> FuzzConfig::FromReproString(const std::string& line) {
       config.hpja = n != 0;
     } else if (key == "remote") {
       config.remote = n != 0;
+    } else if (key == "procs") {
+      config.procs = static_cast<int>(n);
     } else if (key == "bf") {
       config.bit_filters = n != 0;
     } else if (key == "fbf") {
@@ -343,7 +351,7 @@ Result<FuzzConfig> FuzzConfig::FromReproString(const std::string& line) {
   if (!any_token) {
     return Status::InvalidArgument("empty repro line");
   }
-  if (config.threads < 1 || config.key_domain < 1) {
+  if (config.threads < 1 || config.key_domain < 1 || config.procs < 1) {
     return Status::InvalidArgument("repro config out of range");
   }
   return config;
@@ -420,6 +428,7 @@ ShrinkResult ShrinkFailure(const FuzzConfig& failing) {
   const std::vector<int> pcts = {100, 60, 35, 15, 5};
   const std::vector<int> sels = {100, 80, 50, 20, 5};
   const std::vector<int> threads = {1, 4, 8};
+  const std::vector<int> procs = {1, 2, 3};
   const std::vector<int> algos = {0, 1, 2, 3};
   // Preference order, not numeric: a generous depth budget (16, no
   // fallback pressure) is the "simplest" end; 0 (immediate fallback) is
@@ -456,6 +465,9 @@ ShrinkResult ShrinkFailure(const FuzzConfig& failing) {
     progress |= TryCandidates<int>(
         best, Before(threads, best->threads),
         [](FuzzConfig* c, int v) { c->threads = v; }, runs);
+    progress |= TryCandidates<int>(
+        best, Before(procs, best->procs),
+        [](FuzzConfig* c, int v) { c->procs = v; }, runs);
     progress |= TryCandidates<int>(
         best, Before(algos, static_cast<int>(best->algorithm)),
         [](FuzzConfig* c, int v) {

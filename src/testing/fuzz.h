@@ -46,6 +46,10 @@ struct FuzzConfig {
   /// Join at 4 diskless processors. Ignored for sort-merge, which the
   /// driver pins to the disk nodes (paper Section 3.1).
   bool remote = false;
+  /// Join processes on each join node, 1-3: several share one node's
+  /// build memory (sim/memory_broker.h). Ignored for sort-merge, like
+  /// `remote`.
+  int procs = 1;
   bool bit_filters = false;
   /// Applied only when bit_filters is also set (spec.h contract).
   bool forming_bit_filters = false;

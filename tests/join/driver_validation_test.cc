@@ -151,6 +151,61 @@ TEST_F(DriverValidationTest, FailedRunLeavesNoResultRelation) {
   EXPECT_FALSE(catalog_.Get("should_not_exist").ok());
 }
 
+TEST_F(DriverValidationTest, RelationsNotDeclusteredOverEveryDisk) {
+  // The fixture's relations are declustered over 4 disks; a machine
+  // with 8 disk nodes cannot scan them with one producer per disk.
+  sim::Machine wide(testing::SmallConfig(8));
+  for (Algorithm algorithm :
+       {Algorithm::kSortMerge, Algorithm::kSimpleHash, Algorithm::kGraceHash,
+        Algorithm::kHybridHash}) {
+    JoinSpec spec = ValidSpec();
+    spec.algorithm = algorithm;
+    spec.result_name = "should_not_exist";
+    const auto output = ExecuteJoin(wide, catalog_, spec);
+    EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument)
+        << AlgorithmName(algorithm) << ": " << output.status().ToString();
+    EXPECT_FALSE(catalog_.Get("should_not_exist").ok());
+  }
+}
+
+TEST_F(DriverValidationTest, BucketCountAboveInnerTuples) {
+  // Every bucket costs a fragment file per disk and phases of its own,
+  // so a request is bounded by the 100 stored inner tuples, for every
+  // algorithm.
+  for (Algorithm algorithm :
+       {Algorithm::kSortMerge, Algorithm::kSimpleHash, Algorithm::kGraceHash,
+        Algorithm::kHybridHash}) {
+    for (int buckets : {101, std::numeric_limits<int>::max()}) {
+      JoinSpec spec = ValidSpec();
+      spec.algorithm = algorithm;
+      spec.num_buckets = buckets;
+      spec.result_name = "should_not_exist";
+      EXPECT_EQ(ExecuteJoin(machine_, catalog_, spec).status().code(),
+                StatusCode::kInvalidArgument)
+          << AlgorithmName(algorithm) << " with " << buckets << " buckets";
+      EXPECT_FALSE(catalog_.Get("should_not_exist").ok());
+    }
+  }
+  JoinSpec spec = ValidSpec();
+  spec.algorithm = Algorithm::kGraceHash;
+  spec.num_buckets = 100;
+  auto at_bound = ExecuteJoin(machine_, catalog_, spec);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ(at_bound->stats.num_buckets, 100);
+  EXPECT_EQ(at_bound->stats.result_tuples, 100u);
+  EXPECT_TRUE(catalog_.Drop(at_bound->result_relation).ok());
+
+  // The optimizer's own count is capped the same way: a 10^8-tuple
+  // estimate against 10^6 bytes would ask for 20,798 buckets.
+  spec.num_buckets.reset();
+  spec.estimated_inner_tuples = 100000000;
+  spec.memory_bytes = 1000000;
+  auto estimated = ExecuteJoin(machine_, catalog_, spec);
+  ASSERT_TRUE(estimated.ok()) << estimated.status().ToString();
+  EXPECT_EQ(estimated->stats.num_buckets, 100);
+  EXPECT_EQ(estimated->stats.result_tuples, 100u);
+}
+
 TEST_F(DriverValidationTest, OptimizerBucketCountFormula) {
   EXPECT_EQ(OptimizerBucketCount(1000, 1000), 1);
   EXPECT_EQ(OptimizerBucketCount(1000, 500), 2);
@@ -158,6 +213,9 @@ TEST_F(DriverValidationTest, OptimizerBucketCountFormula) {
   EXPECT_EQ(OptimizerBucketCount(0, 500), 1);
   // Floating-point ratio tolerance: 1/3 of 2,080,000 truncated.
   EXPECT_EQ(OptimizerBucketCount(2080000, 693333), 3);
+  // A count beyond int saturates instead of wrapping.
+  EXPECT_EQ(OptimizerBucketCount(uint64_t{1} << 62, 1),
+            std::numeric_limits<int>::max());
 }
 
 TEST_F(DriverValidationTest, AlgorithmNames) {

@@ -25,6 +25,7 @@ TEST(FuzzConfig, ReproLineRoundTrips) {
   config.zero_slack = true;
   config.hpja = true;
   config.remote = true;
+  config.procs = 3;
   config.bit_filters = true;
   config.forming_bit_filters = true;
   config.adaptive_repartition = true;
@@ -32,8 +33,10 @@ TEST(FuzzConfig, ReproLineRoundTrips) {
   config.inject_mismatch = true;
 
   const std::string line = config.ToReproString();
+  EXPECT_NE(line.find(" procs=3 "), std::string::npos) << line;
   const Result<FuzzConfig> parsed = FuzzConfig::FromReproString(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->procs, 3);
   EXPECT_EQ(parsed->ToReproString(), line);
 }
 
@@ -42,6 +45,7 @@ TEST(FuzzConfig, RejectsMalformedReproLines) {
   EXPECT_FALSE(FuzzConfig::FromReproString("not a repro line").ok());
   EXPECT_FALSE(FuzzConfig::FromReproString("algo=quantum threads=1").ok());
   EXPECT_FALSE(FuzzConfig::FromReproString("algo=sort-merge threads=zero").ok());
+  EXPECT_FALSE(FuzzConfig::FromReproString("algo=grace-hash procs=0").ok());
 }
 
 TEST(RandomConfig, DeterministicPerSeed) {
@@ -81,6 +85,7 @@ TEST(ShrinkFailure, ConvergesToMinimalInjectedMismatch) {
   failing.zipf_theta = 0.5;
   failing.memory_pct = 35;
   failing.hpja = true;
+  failing.procs = 3;
   failing.bit_filters = true;
   failing.adaptive_repartition = true;
   failing.inject_mismatch = true;
@@ -98,6 +103,7 @@ TEST(ShrinkFailure, ConvergesToMinimalInjectedMismatch) {
   EXPECT_TRUE(m.bit_filters);
   EXPECT_EQ(m.algorithm, join::Algorithm::kSortMerge);
   EXPECT_EQ(m.threads, 1);
+  EXPECT_EQ(m.procs, 1);
   EXPECT_EQ(m.key_domain, 1u);
   EXPECT_EQ(m.zipf_theta, 0.0);
   EXPECT_EQ(m.memory_pct, 100);
